@@ -271,7 +271,12 @@ fn ablation_durability(n: u64) {
                 window: Duration::from_micros(200),
             }),
         ),
-        ("sync", Some(SyncMode::Sync)),
+        (
+            "sync",
+            Some(SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            }),
+        ),
     ];
     let mut rows = Vec::new();
     for (name, mode) in modes {
@@ -288,7 +293,8 @@ fn ablation_durability(n: u64) {
             }
         };
         hb::preload_minuet(&mc, 0, n);
-        let before = mc.sinfonia.durability_stats();
+        let wal = |series| mc.sinfonia.counter_total(series);
+        let before = (wal("wal.fsyncs"), wal("wal.bytes"));
         // Measured phase: closed-loop updates, injection off so the log's
         // cost (not the modeled network) dominates.
         let ops = std::sync::atomic::AtomicU64::new(0);
@@ -315,15 +321,14 @@ fn ablation_durability(n: u64) {
             stop_ref.store(true, std::sync::atomic::Ordering::Relaxed);
         });
         let secs = t0.elapsed().as_secs_f64();
-        let after = mc.sinfonia.durability_stats();
         let ops = ops.load(std::sync::atomic::Ordering::Relaxed);
-        let fsyncs = after.fsyncs - before.fsyncs;
+        let fsyncs = wal("wal.fsyncs") - before.0;
         rows.push(vec![
             name.to_string(),
             fmt_count(ops as f64 / secs),
             format!("{:.3}", fsyncs as f64 / ops.max(1) as f64),
-            fmt_bytes((after.bytes - before.bytes) as f64),
-            after.checkpoints.to_string(),
+            fmt_bytes((wal("wal.bytes") - before.1) as f64),
+            wal("memnode.checkpoints").to_string(),
         ]);
         drop(mc);
         if let Some(d) = dir {

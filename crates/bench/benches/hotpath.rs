@@ -159,12 +159,7 @@ fn main() {
         &[100, 95, 50]
     };
 
-    let fp0: u64 = mc
-        .sinfonia
-        .nodes_snapshot()
-        .iter()
-        .map(|nd| nd.node_stats().read_fastpath)
-        .sum();
+    let fp0 = mc.sinfonia.counter_total("memnode.read_fastpath");
     mc.sinfonia.transport.set_inject(Some(SCALING_RTT));
     let mut table: Vec<Vec<String>> = Vec::new();
     let mut read_only: Vec<(usize, f64)> = Vec::new();
@@ -180,12 +175,7 @@ fn main() {
         table.push(row);
     }
     mc.sinfonia.transport.set_inject(None);
-    let fp1: u64 = mc
-        .sinfonia
-        .nodes_snapshot()
-        .iter()
-        .map(|nd| nd.node_stats().read_fastpath)
-        .sum();
+    let fp1 = mc.sinfonia.counter_total("memnode.read_fastpath");
 
     let headers: Vec<String> = std::iter::once("clients".to_string())
         .chain(fracs.iter().map(|f| format!("ops/s @{f}% read")))

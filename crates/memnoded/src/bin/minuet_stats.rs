@@ -1,10 +1,10 @@
 //! `minuet-stats` — poll running memnode daemons and render a text
 //! dashboard of their observability plane.
 //!
-//! Each endpoint is polled over the ordinary wire protocol with three
-//! admin RPCs: `Stats` (the fixed `NodeStats` counters), `ObsSnapshot`
-//! (every registered counter and histogram), and `TraceDump` (recent or
-//! slow request traces recorded server-side).
+//! Each endpoint is polled over the ordinary wire protocol with two admin
+//! RPCs: `ObsSnapshot` (every registered counter and histogram, plus the
+//! `memnode.in_doubt` and `wal.retained_bytes` levels) and `TraceDump`
+//! (recent or slow request traces recorded server-side).
 //!
 //! ```text
 //! minuet-stats tcp:127.0.0.1:7400 1@tcp:127.0.0.1:7401
@@ -134,23 +134,6 @@ fn poll(t: &Target, traces: u32, slow: bool) {
         println!("  unreachable: {e}");
         return;
     }
-    let s = t.node.node_stats();
-    println!(
-        "  ops: single_commits={} prepares={} commits={} aborts={} busy={} \
-         fastpath={}/{} in_doubt={}",
-        s.single_commits,
-        s.prepares,
-        s.commits,
-        s.aborts,
-        s.busy,
-        s.read_fastpath,
-        s.read_fastpath + s.read_fastpath_misses,
-        s.in_doubt,
-    );
-    println!(
-        "  wal: appends={} bytes={} fsyncs={} retained={} checkpoints={} durable={}",
-        s.wal_appends, s.wal_bytes, s.wal_fsyncs, s.wal_retained_bytes, s.checkpoints, s.durable,
-    );
     let snap = t.node.obs_snapshot();
     if !snap.counters.is_empty() {
         println!("  counters:");

@@ -7,7 +7,7 @@
 //! ```text
 //! memnoded --listen unix:/tmp/mem0.sock --id 0 --capacity-mb 64
 //! memnoded --listen tcp:127.0.0.1:7400 --id 1 --capacity-mb 256 \
-//!          --dir /var/lib/minuet/mem1 --sync batch
+//!          --dir /var/lib/minuet/mem1 --sync group
 //! ```
 //!
 //! With `--dir`, the memnode is durable: it reopens an existing
@@ -64,7 +64,8 @@ const USAGE: &str = "memnoded --listen <tcp:HOST:PORT|unix:PATH> [--id N] [--cap
   --id                memnode id this daemon serves (default 0)
   --capacity-mb       address-space capacity in MiB (default 256)
   --dir               durability directory; resumes existing state if present
-  --sync              log sync mode when --dir is set (default async)
+  --sync              log sync mode when --dir is set (default async);
+                      sync is group commit with no window, group a 1 ms one
   --max-connections   bounded accept pool size (default 64)
   --slow-us           slow-op log threshold in microseconds: traced requests
                       slower than this are pinned in the slow-trace ring
@@ -121,9 +122,12 @@ fn parse_args() -> Result<Args, String> {
                 args.sync = match value("--sync")?.as_str() {
                     "none" => SyncMode::None,
                     "async" => SyncMode::Async,
-                    "sync" => SyncMode::Sync,
+                    // fsync per forced record: group commit with no window.
+                    "sync" => SyncMode::GroupCommit {
+                        window: Duration::ZERO,
+                    },
                     "group" => SyncMode::GroupCommit {
-                        window: std::time::Duration::from_millis(1),
+                        window: Duration::from_millis(1),
                     },
                     other => return Err(format!("--sync {other}: use none|async|sync|group")),
                 }
@@ -206,8 +210,8 @@ fn run(args: Args) -> std::io::Result<()> {
             };
             let wal = minuet_sinfonia::recovery::wal_path(dir, id);
             if wal.exists() {
-                let (node, meta, _) = MemNode::open_from_disk(id, args.capacity, &dcfg)?;
-                let staged = meta.staged.len();
+                let (node, _) = MemNode::open_from_disk(id, args.capacity, &dcfg)?;
+                let staged = node.in_doubt();
                 if staged > 0 {
                     eprintln!(
                         "memnoded: {id} reopened with {staged} in-doubt transaction(s); \

@@ -24,7 +24,7 @@ use crate::lock::TxId;
 use crate::memnode::{ReplStatus, SingleResult, Unavailable, Vote};
 use crate::minitx::{LockPolicy, Shard};
 use crate::recovery::NodeMeta;
-use crate::rpc::{BatchItem, NodeRpc, NodeStats};
+use crate::rpc::{BatchItem, NodeRpc};
 use crate::transport::Transport;
 use crate::wire::{
     encode_traced_request, read_frame, split_reply_flags, Endpoint, NodeFlags, Request, Response,
@@ -522,24 +522,23 @@ impl RemoteNode {
     /// Current flags, cache-first: a value refreshed during the current
     /// epoch answers from memory (the hot path — every reply trailer
     /// refreshes it, so no RPC happens while the connection is healthy).
-    /// A stale cache triggers one `Flags` RPC; if that fails, the last
-    /// known (stale) value is returned, or `None` if the node has never
-    /// been reached.
+    /// A stale cache triggers one `Hello` probe, whose reply trailer
+    /// refreshes it like any other; if that fails, the last known (stale)
+    /// value is returned, or `None` if the node has never been reached.
     fn flags(&self) -> Option<NodeFlags> {
-        if let Some(f) = self.fresh_flags() {
-            return Some(f);
-        }
-        match self.request(&Request::Flags) {
-            Ok(Response::Flags(f)) => Some(f),
-            _ => self.last_known_flags(),
-        }
+        self.fresh_flags()
+            .or_else(|| self.probe_flags())
+            .or_else(|| self.last_known_flags())
     }
 
-    fn stats_rpc(&self) -> Option<NodeStats> {
-        match self.request(&Request::Stats) {
-            Ok(Response::Stats(s)) => Some(s),
-            _ => None,
-        }
+    /// Sends `Hello` and returns the flags its reply trailer carried, or
+    /// `None` when the node did not answer.
+    fn probe_flags(&self) -> Option<NodeFlags> {
+        let hello = Request::Hello {
+            version: PROTO_VERSION,
+        };
+        self.request(&hello).ok()?;
+        self.last_known_flags()
     }
 }
 
@@ -660,17 +659,13 @@ impl NodeRpc for RemoteNode {
     }
 
     fn is_crashed(&self) -> bool {
-        if let Some(f) = self.fresh_flags() {
-            return f.crashed;
-        }
-        match self.request(&Request::Flags) {
-            Ok(Response::Flags(f)) => f.crashed,
-            // An unreachable node is indistinguishable from a crashed
-            // one. Unlike joining/retiring, a stale `crashed: false`
-            // must never be trusted here — callers probe this exact
-            // question ("can I reach it right now?").
-            _ => true,
-        }
+        // An unreachable node is indistinguishable from a crashed one.
+        // Unlike joining/retiring, a stale `crashed: false` must never be
+        // trusted here — callers probe this exact question ("can I reach
+        // it right now?").
+        self.fresh_flags()
+            .or_else(|| self.probe_flags())
+            .is_none_or(|f| f.crashed)
     }
 
     fn is_joining(&self) -> bool {
@@ -712,15 +707,11 @@ impl NodeRpc for RemoteNode {
         // in-process instrument.
     }
 
-    fn in_doubt(&self) -> usize {
-        self.stats_rpc().map_or(0, |s| s.in_doubt as usize)
-    }
-
-    fn node_meta(&self) -> NodeMeta {
-        match self.request(&Request::Meta) {
-            Ok(Response::Meta(m)) => m,
-            _ => NodeMeta::default(),
-        }
+    fn node_meta(&self) -> Result<NodeMeta, Unavailable> {
+        self.expect(self.request(&Request::Meta), |r| match r {
+            Response::Meta(m) => Some(m),
+            _ => None,
+        })
     }
 
     fn checkpoint(&self) -> io::Result<bool> {
@@ -732,14 +723,6 @@ impl NodeRpc for RemoteNode {
                 format!("memnode {} unreachable", self.id),
             )),
         }
-    }
-
-    fn wal_retained_bytes(&self) -> u64 {
-        self.stats_rpc().map_or(0, |s| s.wal_retained_bytes)
-    }
-
-    fn node_stats(&self) -> NodeStats {
-        self.stats_rpc().unwrap_or_default()
     }
 
     fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {

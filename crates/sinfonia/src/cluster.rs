@@ -5,7 +5,7 @@ use crate::client::{RemoteNode, WireConfig};
 use crate::error::SinfoniaError;
 use crate::memnode::MemNode;
 use crate::minitx::{Minitransaction, Outcome};
-use crate::recovery::{self, NodeMeta, Resolution};
+use crate::recovery::{self, Resolution};
 use crate::rpc::{NodeHandle, NodeRpc};
 use crate::transport::Transport;
 use crate::wal::DurabilityConfig;
@@ -112,22 +112,6 @@ impl ClusterConfig {
         self.obs = obs;
         self
     }
-}
-
-/// Aggregated durability counters across all memnodes, in the spirit of
-/// [`crate::transport::NetStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DurSnapshot {
-    /// Redo records appended.
-    pub appends: u64,
-    /// Log bytes appended (frames included).
-    pub bytes: u64,
-    /// fsync calls issued.
-    pub fsyncs: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Log bytes currently retained on disk.
-    pub retained_bytes: u64,
 }
 
 /// How often the background checkpointer polls log sizes.
@@ -277,11 +261,10 @@ impl SinfoniaCluster {
         // count, or data migrated onto added nodes would be lost.
         let n = cfg.memnodes.max(recovery::discover_memnodes(&dir)?);
         let mut nodes = Vec::with_capacity(n);
-        let mut metas: Vec<NodeMeta> = Vec::with_capacity(n);
         let mut max_txid = 0;
         for i in 0..n {
             let id = MemNodeId(i as u16);
-            let (node, meta, node_max) =
+            let (node, node_max) =
                 MemNode::open_from_disk(id, cfg.capacity_per_node, &cfg.durability)?;
             // A join marker means the crash hit mid-seed: reopen the node
             // as joining so it serves no replicated reads until a retried
@@ -290,7 +273,6 @@ impl SinfoniaCluster {
                 node.set_joining(true);
             }
             nodes.push(Arc::new(node) as NodeHandle);
-            metas.push(meta);
             max_txid = max_txid.max(node_max);
         }
         let transport = Arc::new(
@@ -298,7 +280,9 @@ impl SinfoniaCluster {
                 .with_obs(minuet_obs::ObsPlane::new(&cfg.obs)),
         );
         let cluster = Self::assemble(nodes, transport, cfg, max_txid + 1);
-        let resolution = recovery::resolve_in_doubt(&cluster, &metas);
+        let resolution = cluster
+            .resolve_in_doubt()
+            .map_err(|u| io::Error::other(format!("resolving in-doubt transactions: {u}")))?;
         Ok((cluster, resolution))
     }
 
@@ -329,12 +313,14 @@ impl SinfoniaCluster {
                 while !stop.load(Ordering::Acquire) {
                     std::thread::sleep(CHECKPOINT_POLL);
                     let snapshot: Vec<NodeHandle> = nodes.read().clone();
-                    for node in &snapshot {
+                    // Durability is in-process only, so every node here
+                    // is local.
+                    for node in snapshot.iter().filter_map(|n| n.as_local()) {
                         if !node.is_crashed() && node.wal_retained_bytes() > threshold {
                             if let Err(e) = node.checkpoint() {
                                 eprintln!(
                                     "background checkpoint of memnode {} failed: {e}",
-                                    node.id()
+                                    node.id
                                 );
                             }
                         }
@@ -548,23 +534,26 @@ impl SinfoniaCluster {
     /// phase is still in flight looks identical to an orphaned one and
     /// would be aborted out from under its (live) coordinator, breaking
     /// atomicity. `restart_from_disk` satisfies this by construction.
-    pub fn resolve_in_doubt(&self) -> Resolution {
-        let metas: Vec<NodeMeta> = self.nodes.read().iter().map(|n| n.node_meta()).collect();
+    ///
+    /// Fails with [`crate::Unavailable`], changing nothing, when a
+    /// participant of an in-doubt transaction cannot report its metadata
+    /// (see [`recovery::resolve_in_doubt`]).
+    pub fn resolve_in_doubt(&self) -> Result<Resolution, crate::Unavailable> {
+        let metas: Vec<_> = self
+            .nodes_snapshot()
+            .iter()
+            .map(|n| n.node_meta())
+            .collect();
         recovery::resolve_in_doubt(self, &metas)
     }
 
-    /// Aggregated durability counters (all zero when durability is off).
-    pub fn durability_stats(&self) -> DurSnapshot {
-        let mut s = DurSnapshot::default();
-        for node in self.nodes_snapshot().iter() {
-            let ns = node.node_stats();
-            s.appends += ns.wal_appends;
-            s.bytes += ns.wal_bytes;
-            s.fsyncs += ns.wal_fsyncs;
-            s.checkpoints += ns.checkpoints;
-            s.retained_bytes += ns.wal_retained_bytes;
-        }
-        s
+    /// Sum of one counter series (`wal.fsyncs`, `memnode.checkpoints`, …)
+    /// over every memnode's registry; a node without the series adds 0.
+    pub fn counter_total(&self, name: &str) -> u64 {
+        self.nodes_snapshot()
+            .iter()
+            .map(|n| n.obs_snapshot().counter(name).unwrap_or(0))
+            .sum()
     }
 }
 
@@ -634,8 +623,8 @@ mod tests {
         assert_eq!(c.node(MemNodeId(0)).raw_read(0, 1).unwrap(), vec![0]);
         assert_eq!(c.node(MemNodeId(1)).raw_read(4, 1).unwrap(), vec![0]);
         // No lingering locks.
-        assert_eq!(c.node(MemNodeId(0)).in_doubt(), 0);
-        assert_eq!(c.node(MemNodeId(1)).in_doubt(), 0);
+        assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(0));
+        assert_eq!(c.node(MemNodeId(1)).in_doubt(), Ok(0));
     }
 
     #[test]

@@ -75,14 +75,14 @@ pub mod wire;
 pub use addr::{ItemRange, MemNodeId};
 pub use bytes::Bytes;
 pub use client::{RemoteNode, WireConfig};
-pub use cluster::{ClusterConfig, DurSnapshot, SinfoniaCluster, TransportMode};
+pub use cluster::{ClusterConfig, SinfoniaCluster, TransportMode};
 pub use deadline::OpDeadline;
 pub use error::SinfoniaError;
 pub use memnode::{MemNode, ReplStatus, Unavailable};
 pub use minitx::{LockPolicy, Minitransaction, Outcome, ReadResults};
 pub use recovery::Resolution;
 pub use repl::{ReplConfig, ReplToken, Replicator};
-pub use rpc::{BatchItem, NodeHandle, NodeRpc, NodeStats};
+pub use rpc::{BatchItem, NodeHandle, NodeRpc};
 pub use server::{MemNodeServer, ServerOptions};
 pub use transport::{op_counters, op_reset, with_op_net, OpNet, Transport};
 pub use wal::{DurabilityConfig, SyncMode, WalError, WalSegment, WalStats};

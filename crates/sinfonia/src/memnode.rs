@@ -19,12 +19,10 @@ use crate::lock::{LockAcquire, LockManager, TxId};
 use crate::minitx::{LockPolicy, Shard};
 use crate::recovery::{self, NodeMeta};
 use crate::space::PagedSpace;
-use crate::wal::{
-    parse_frames, DurabilityConfig, OwnedRecord, Record, Wal, WalError, WalSegment, WalStats,
-};
+use crate::wal::{parse_frames, DurabilityConfig, OwnedRecord, Record, Wal, WalError, WalSegment};
 use crate::{checkpoint, lock};
 use minuet_faults as faults;
-use minuet_obs::{span, Counter, ObsPlane, SpanKind};
+use minuet_obs::{span, Counter, ObsPlane, ObsSnapshot, SpanKind};
 use parking_lot::{Mutex, RwLock};
 use std::collections::{HashMap, HashSet};
 use std::io;
@@ -141,6 +139,8 @@ pub struct MemNodeStats {
     /// WAL append/fsync failures observed (each one degrades the node to
     /// read-only until it is recovered).
     pub wal_failures: Counter,
+    /// Checkpoints taken since this node object was created.
+    pub checkpoints: Counter,
 }
 
 impl MemNodeStats {
@@ -159,6 +159,7 @@ impl MemNodeStats {
         r.register_counter("repl.applies", &self.repl_applies);
         r.register_counter("repl.dup_skips", &self.repl_dup_skips);
         r.register_counter("memnode.wal_failures", &self.wal_failures);
+        r.register_counter("memnode.checkpoints", &self.checkpoints);
     }
 }
 
@@ -208,7 +209,6 @@ pub struct MemNode {
     service_gate: Mutex<()>,
     dur: Option<Durable>,
     ckpt_running: AtomicBool,
-    checkpoints: AtomicU64,
     /// Advisory epoch register: the highest epoch a coordinator has
     /// announced to this node (see [`MemNode::epoch_mark`]). Purely
     /// observational — validation batching happens coordinator-side.
@@ -273,24 +273,16 @@ impl MemNode {
 
     /// Reopens a durable memnode from its checkpoint image and redo log.
     /// Returns the node (with in-doubt transactions re-staged and their
-    /// locks re-acquired), the recovery metadata for in-doubt resolution,
-    /// and the largest transaction id seen on disk.
+    /// locks re-acquired, so [`MemNode::node_meta`] reports them) and the
+    /// largest transaction id seen on disk.
     pub fn open_from_disk(
         id: MemNodeId,
         capacity: u64,
         dcfg: &DurabilityConfig,
-    ) -> io::Result<(Self, NodeMeta, TxId)> {
+    ) -> io::Result<(Self, TxId)> {
         let dir = dcfg.dir.clone().expect("durable memnode needs a directory");
         std::fs::create_dir_all(&dir)?;
         let rec = recovery::recover_node(&dir, id, capacity)?;
-        let meta = NodeMeta {
-            staged: rec
-                .staged
-                .iter()
-                .map(|(txid, tx)| (*txid, tx.participants.clone()))
-                .collect(),
-            decided: rec.decided.clone(),
-        };
         let wal_p = recovery::wal_path(&dir, id);
         let ckpt_p = recovery::ckpt_path(&dir, id);
         let wal = Wal::open(&wal_p, dcfg.sync)?;
@@ -310,7 +302,7 @@ impl MemNode {
         );
         node.repl_applied_txid
             .store(rec.max_txid, Ordering::Release);
-        Ok((node, meta, rec.max_txid))
+        Ok((node, rec.max_txid))
     }
 
     fn build(
@@ -349,7 +341,6 @@ impl MemNode {
             service_gate: Mutex::new(()),
             dur,
             ckpt_running: AtomicBool::new(false),
-            checkpoints: AtomicU64::new(0),
             epoch: AtomicU64::new(0),
             repl_watermark: AtomicU64::new(repl_watermark),
             repl_applied_txid: AtomicU64::new(0),
@@ -442,11 +433,6 @@ impl MemNode {
         self.dur.is_some()
     }
 
-    /// Redo-log counters, when durable.
-    pub fn wal_stats(&self) -> Option<&WalStats> {
-        self.dur.as_ref().map(|d| &*d.wal.stats)
-    }
-
     /// Bytes currently retained in the redo log (0 when not durable).
     pub fn wal_retained_bytes(&self) -> u64 {
         self.dur.as_ref().map_or(0, |d| d.wal.retained_bytes())
@@ -454,7 +440,20 @@ impl MemNode {
 
     /// Checkpoints taken since this node object was created.
     pub fn checkpoint_count(&self) -> u64 {
-        self.checkpoints.load(Ordering::Relaxed)
+        self.stats.checkpoints.get()
+    }
+
+    /// Every metric this node's registry holds, plus two levels computed
+    /// from live state at snapshot time: `memnode.in_doubt` (prepared
+    /// transactions) and `wal.retained_bytes` (0 when not durable).
+    pub fn obs_snapshot(&self) -> ObsSnapshot {
+        let mut snap = self.obs.registry.snapshot();
+        snap.counters
+            .push(("memnode.in_doubt".into(), self.in_doubt() as u64));
+        snap.counters
+            .push(("wal.retained_bytes".into(), self.wal_retained_bytes()));
+        snap.counters.sort_by(|a, b| a.0.cmp(&b.0));
+        snap
     }
 
     fn acquire(&self, spans: &[(u64, u64)], txid: TxId, policy: LockPolicy) -> LockAcquire {
@@ -997,7 +996,7 @@ impl MemNode {
         let bytes = checkpoint::encode_image(&space, &staged, &decided, watermark);
         checkpoint::write_atomic(&d.ckpt_path, &bytes)?;
         d.wal.drop_prefix(upto)?;
-        self.checkpoints.fetch_add(1, Ordering::Relaxed);
+        self.stats.checkpoints.inc();
         Ok(true)
     }
 
@@ -1030,9 +1029,12 @@ impl MemNode {
 
     /// Recovery metadata of the live node: in-doubt transactions with
     /// their participant lists, plus the decided-commit set. Feeds
-    /// [`crate::recovery::resolve_in_doubt`].
-    pub fn node_meta(&self) -> NodeMeta {
-        NodeMeta {
+    /// [`crate::recovery::resolve_in_doubt`]. A crashed node answers
+    /// [`Unavailable`]: its volatile sets are gone (durable) or frozen,
+    /// and must not be read as an outcome.
+    pub fn node_meta(&self) -> Result<NodeMeta, Unavailable> {
+        self.check_up()?;
+        Ok(NodeMeta {
             staged: self
                 .prepared
                 .lock()
@@ -1040,7 +1042,7 @@ impl MemNode {
                 .map(|(txid, tx)| (*txid, tx.participants.clone()))
                 .collect(),
             decided: self.decided.lock().clone(),
-        }
+        })
     }
 
     /// Checks that primary and backup images are byte-identical (test
@@ -1472,7 +1474,12 @@ mod tests {
 
     #[test]
     fn durable_crash_recovers_from_disk() {
-        let (n, _dcfg) = durable_node("node-disk", SyncMode::Sync);
+        let (n, _dcfg) = durable_node(
+            "node-disk",
+            SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            },
+        );
         let mut m = Minitransaction::new();
         m.write(ItemRange::new(n.id, 64, 4), vec![4, 3, 2, 1]);
         assert!(matches!(single(&n, 1, &m), SingleResult::Committed(_)));

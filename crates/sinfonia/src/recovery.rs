@@ -19,10 +19,10 @@ use crate::addr::MemNodeId;
 use crate::checkpoint;
 use crate::cluster::SinfoniaCluster;
 use crate::lock::TxId;
-use crate::memnode::PreparedTx;
+use crate::memnode::{PreparedTx, Unavailable};
 use crate::space::PagedSpace;
 use crate::wal::{parse_log, OwnedRecord};
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashMap, HashSet};
 use std::io;
 use std::path::{Path, PathBuf};
 
@@ -210,44 +210,53 @@ pub struct Resolution {
 }
 
 /// Coordinator-side resolution of in-doubt transactions after a restart.
-/// Applies the decision at every participant through the normal
+/// `metas[i]` is memnode `i`'s recovery metadata, or the error reading it
+/// returned. Applies the decision at every participant through the normal
 /// commit/abort entry points (which log it), so resolution itself is
 /// crash-safe.
-pub fn resolve_in_doubt(cluster: &SinfoniaCluster, metas: &[NodeMeta]) -> Resolution {
-    // Union of in-doubt transactions across nodes.
-    let mut in_doubt: HashMap<TxId, Vec<MemNodeId>> = HashMap::new();
-    for meta in metas {
-        for (txid, participants) in &meta.staged {
-            in_doubt
-                .entry(*txid)
-                .or_insert_with(|| participants.clone());
+///
+/// Every transaction is decided before any participant is changed, and
+/// only from the metadata of all its participants: an unreachable one may
+/// hold the only commit record, so its [`Unavailable`] is returned with
+/// nothing changed. A decision that fails to apply midway also returns
+/// `Unavailable`; running the pass again finishes it, since the applied
+/// half is recorded in the participants' metadata.
+pub fn resolve_in_doubt(
+    cluster: &SinfoniaCluster,
+    metas: &[Result<NodeMeta, Unavailable>],
+) -> Result<Resolution, Unavailable> {
+    let meta = |p: MemNodeId| match metas.get(p.index()) {
+        Some(Ok(m)) => Ok(m),
+        Some(Err(u)) => Err(*u),
+        None => Err(Unavailable(p)),
+    };
+    // Union of in-doubt transactions across reachable nodes, in txid order.
+    let mut in_doubt: BTreeMap<TxId, &[MemNodeId]> = BTreeMap::new();
+    for m in metas.iter().flatten() {
+        for (txid, participants) in &m.staged {
+            in_doubt.entry(*txid).or_insert(participants);
         }
     }
-    let mut txids: Vec<TxId> = in_doubt.keys().copied().collect();
-    txids.sort_unstable();
+    let mut decisions = Vec::with_capacity(in_doubt.len());
+    for (txid, participants) in in_doubt {
+        let (mut all_voted_yes, mut any_committed) = (true, false);
+        for p in participants {
+            let m = meta(*p)?;
+            all_voted_yes &= m.staged.contains_key(&txid) || m.decided.contains(&txid);
+            any_committed |= m.decided.contains(&txid);
+        }
+        decisions.push((txid, participants, any_committed || all_voted_yes));
+    }
 
     let mut res = Resolution::default();
-    for txid in txids {
-        let participants = &in_doubt[&txid];
-        let all_voted_yes = participants.iter().all(|p| {
-            metas
-                .get(p.index())
-                .is_some_and(|m| m.staged.contains_key(&txid) || m.decided.contains(&txid))
-        });
-        let any_committed = participants.iter().any(|p| {
-            metas
-                .get(p.index())
-                .is_some_and(|m| m.decided.contains(&txid))
-        });
-        let commit = any_committed || all_voted_yes;
+    for (txid, participants, commit) in decisions {
         for p in participants {
             let node = cluster.node(*p);
-            let outcome = if commit {
-                node.commit(txid)
+            if commit {
+                node.commit(txid)?;
             } else {
-                node.abort(txid)
-            };
-            outcome.expect("recovered node unavailable during resolution");
+                node.abort(txid)?;
+            }
         }
         if commit {
             res.committed += 1;
@@ -255,5 +264,5 @@ pub fn resolve_in_doubt(cluster: &SinfoniaCluster, metas: &[NodeMeta]) -> Resolu
             res.aborted += 1;
         }
     }
-    res
+    Ok(res)
 }

@@ -17,7 +17,6 @@ use crate::minitx::{LockPolicy, Shard};
 use crate::recovery::NodeMeta;
 use crate::wal::WalSegment;
 use std::io;
-use std::sync::atomic::Ordering;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -32,46 +31,6 @@ pub struct BatchItem<'a, 'b> {
     pub policy: LockPolicy,
     /// The items destined for this memnode.
     pub shard: &'a Shard<'b>,
-}
-
-/// Owned snapshot of a memnode's operation and durability counters.
-///
-/// Remote nodes cannot hand out references to their atomics, so the stats
-/// surface is an owned snapshot fetched in one RPC.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct NodeStats {
-    /// One-phase executions that committed.
-    pub single_commits: u64,
-    /// Prepares that voted Ok.
-    pub prepares: u64,
-    /// Two-phase commits applied.
-    pub commits: u64,
-    /// Aborts processed.
-    pub aborts: u64,
-    /// Lock-busy rejections.
-    pub busy: u64,
-    /// Lock-free read fast-path hits.
-    pub read_fastpath: u64,
-    /// Fast-path attempts that fell back to the locked path.
-    pub read_fastpath_misses: u64,
-    /// Lock-free single-phase write fast-path hits.
-    pub write_fastpath: u64,
-    /// Write fast-path attempts that fell back to the locked path.
-    pub write_fastpath_misses: u64,
-    /// Currently prepared (in-doubt) transactions.
-    pub in_doubt: u64,
-    /// Redo records appended.
-    pub wal_appends: u64,
-    /// Log bytes appended (frames included).
-    pub wal_bytes: u64,
-    /// fsync calls issued.
-    pub wal_fsyncs: u64,
-    /// Checkpoints taken.
-    pub checkpoints: u64,
-    /// Log bytes currently retained on disk.
-    pub wal_retained_bytes: u64,
-    /// True if the node logs to disk.
-    pub durable: bool,
 }
 
 /// The full memnode surface a coordinator uses, object-safe so local and
@@ -171,27 +130,25 @@ pub trait NodeRpc: Send + Sync {
     fn occupy(&self, d: Duration);
 
     /// Number of currently prepared (in-doubt) transactions.
-    fn in_doubt(&self) -> usize;
+    fn in_doubt(&self) -> Result<usize, Unavailable> {
+        Ok(self.node_meta()?.staged.len())
+    }
 
-    /// Recovery metadata for in-doubt resolution.
-    fn node_meta(&self) -> NodeMeta;
+    /// Recovery metadata for in-doubt resolution. A crashed or
+    /// unreachable node has none to give: it answers [`Unavailable`],
+    /// never an empty set that would read as "voted no".
+    fn node_meta(&self) -> Result<NodeMeta, Unavailable>;
 
     /// Takes a checkpoint; `Ok(false)` when skipped.
     fn checkpoint(&self) -> io::Result<bool>;
-
-    /// Bytes currently retained in the redo log.
-    fn wal_retained_bytes(&self) -> u64;
-
-    /// Owned snapshot of the node's counters.
-    fn node_stats(&self) -> NodeStats;
 
     /// Compares primary and backup images over the probe ranges (test
     /// support).
     fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool;
 
     /// Point-in-time snapshot of every metric the node's observability
-    /// plane registers (`memnode.*`, `wal.*`, …). Default: empty, for
-    /// handles with no plane.
+    /// plane registers (`memnode.*`, `wal.*`, …) — the one channel for a
+    /// memnode's counts. Default: empty, for handles with no plane.
     fn obs_snapshot(&self) -> minuet_obs::ObsSnapshot {
         minuet_obs::ObsSnapshot::default()
     }
@@ -302,11 +259,7 @@ impl NodeRpc for MemNode {
         MemNode::occupy(self, d)
     }
 
-    fn in_doubt(&self) -> usize {
-        MemNode::in_doubt(self)
-    }
-
-    fn node_meta(&self) -> NodeMeta {
+    fn node_meta(&self) -> Result<NodeMeta, Unavailable> {
         MemNode::node_meta(self)
     }
 
@@ -314,40 +267,12 @@ impl NodeRpc for MemNode {
         MemNode::checkpoint(self)
     }
 
-    fn wal_retained_bytes(&self) -> u64 {
-        MemNode::wal_retained_bytes(self)
-    }
-
-    fn node_stats(&self) -> NodeStats {
-        let s = &self.stats;
-        let (wal_appends, wal_bytes, wal_fsyncs) =
-            self.wal_stats().map_or((0, 0, 0), |w| w.snapshot());
-        NodeStats {
-            single_commits: s.single_commits.load(Ordering::Relaxed),
-            prepares: s.prepares.load(Ordering::Relaxed),
-            commits: s.commits.load(Ordering::Relaxed),
-            aborts: s.aborts.load(Ordering::Relaxed),
-            busy: s.busy.load(Ordering::Relaxed),
-            read_fastpath: s.read_fastpath.load(Ordering::Relaxed),
-            read_fastpath_misses: s.read_fastpath_misses.load(Ordering::Relaxed),
-            write_fastpath: s.write_fastpath.load(Ordering::Relaxed),
-            write_fastpath_misses: s.write_fastpath_misses.load(Ordering::Relaxed),
-            in_doubt: self.in_doubt() as u64,
-            wal_appends,
-            wal_bytes,
-            wal_fsyncs,
-            checkpoints: self.checkpoint_count(),
-            wal_retained_bytes: MemNode::wal_retained_bytes(self),
-            durable: self.is_durable(),
-        }
-    }
-
     fn mirror_consistent(&self, probe: &[(u64, u32)]) -> bool {
         MemNode::mirror_consistent(self, probe)
     }
 
     fn obs_snapshot(&self) -> minuet_obs::ObsSnapshot {
-        self.obs.registry.snapshot()
+        MemNode::obs_snapshot(self)
     }
 
     fn trace_dump(&self, max: u32, slow: bool) -> Vec<minuet_obs::Trace> {

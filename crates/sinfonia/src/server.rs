@@ -19,7 +19,6 @@ use crate::addr::{ItemRange, MemNodeId};
 use crate::bytes::Bytes;
 use crate::memnode::MemNode;
 use crate::minitx::{CompareItem, ReadItem, Shard, WriteItem};
-use crate::rpc::NodeRpc;
 use crate::wire::{
     encode_response_payload, read_frame, seal_reply, seal_traced_reply, Endpoint, Listener,
     NodeFlags, Request, Response, Stream, WireShard, PROTO_VERSION,
@@ -553,16 +552,24 @@ fn dispatch(node: &Arc<MemNode>, req: Request) -> Response {
             Ok(took) => Response::Bool(took),
             Err(e) => Response::Error(format!("checkpoint failed: {e}")),
         },
-        Request::Stats => Response::Stats(NodeRpc::node_stats(node.as_ref())),
-        Request::Flags => Response::Flags(node_flags(node)),
-        Request::Meta => Response::Meta(node.node_meta()),
-        Request::MirrorConsistent { probe } => Response::Bool(node.mirror_consistent(&probe)),
+        Request::Meta => match node.node_meta() {
+            Ok(m) => Response::Meta(m),
+            Err(u) => Response::Unavailable(u.0 .0),
+        },
+        Request::MirrorConsistent { probe } => {
+            for (off, len) in &probe {
+                if let Err(e) = check_extent(node, off.saturating_add(*len as u64)) {
+                    return Response::Error(e);
+                }
+            }
+            Response::Bool(node.mirror_consistent(&probe))
+        }
         Request::Shutdown => Response::Unit,
         // Traced envelopes are normally unwrapped in `serve_conn` (which
         // arms the server trace); an envelope reaching here — e.g. via the
         // in-process `NodeRpc` path — just dispatches its inner request.
         Request::Traced { inner, .. } => dispatch(node, *inner),
-        Request::ObsSnapshot => Response::Obs(Bytes::from(node.obs.registry.snapshot().encode())),
+        Request::ObsSnapshot => Response::Obs(Bytes::from(node.obs_snapshot().encode())),
         Request::TraceDump { max, slow } => {
             let traces = if slow {
                 node.obs.slow(max as usize)

@@ -6,9 +6,10 @@
 //! CRC-framed; a torn tail left by a crash is detected on replay and
 //! truncated back to the last valid record.
 //!
-//! The log offers four durability levels ([`SyncMode`]): no syncing at all,
-//! background (asynchronous) syncing, an fsync per forced record, and group
-//! commit — the classic batching trade-off the paper's lineage (Sinfonia
+//! The log offers three durability levels ([`SyncMode`]): no syncing at
+//! all, background (asynchronous) syncing, and group commit, whose
+//! zero-window form fsyncs every forced record — the classic batching
+//! trade-off the paper's lineage (Sinfonia
 //! §4; MV-PBT's persistent index) leans on. Every fsync is counted in
 //! [`WalStats`], mirroring how the instrumented transport counts round
 //! trips, so benches can report the cost of each mode.
@@ -42,14 +43,11 @@ pub enum SyncMode {
     /// A background flusher thread fsyncs every few milliseconds. Commits
     /// are acknowledged before they are durable (bounded-loss window).
     Async,
-    /// fsync before acknowledging every forced record. Maximum durability;
-    /// concurrent committers still share fsyncs through the same
-    /// leader/follower pipeline as [`SyncMode::GroupCommit`], just without
-    /// the batching window — the fsync's own duration is the window.
-    Sync,
     /// Group commit: the first waiter becomes the leader, sleeps `window`
     /// to let concurrent commits pile up, then issues one fsync covering
-    /// the whole batch.
+    /// the whole batch. A zero window fsyncs before acknowledging every
+    /// forced record (maximum durability); committers that arrive during
+    /// the fsync still share the next one.
     GroupCommit {
         /// How long the leader waits before syncing the batch.
         window: Duration,
@@ -73,7 +71,9 @@ impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
             dir: None,
-            sync: SyncMode::Sync,
+            sync: SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            },
             checkpoint_log_bytes: 8 << 20,
         }
     }
@@ -548,8 +548,8 @@ pub struct WalStats {
     /// Wall-clock latency of each fsync, in nanoseconds.
     pub fsync_ns: HistHandle,
     /// Records covered per commit-path fsync (recorded by the
-    /// leader/follower pipeline in [`SyncMode::Sync`] and
-    /// [`SyncMode::GroupCommit`]; 1 means no sharing happened).
+    /// [`SyncMode::GroupCommit`] leader/follower pipeline; 1 means no
+    /// sharing happened).
     pub group_batch: HistHandle,
     /// Appends counter value at the last group-commit fsync (internal
     /// bookkeeping for `group_batch`).
@@ -557,15 +557,6 @@ pub struct WalStats {
 }
 
 impl WalStats {
-    /// Snapshot `(appends, bytes, fsyncs)`.
-    pub fn snapshot(&self) -> (u64, u64, u64) {
-        (
-            self.appends.load(Ordering::Relaxed),
-            self.bytes.load(Ordering::Relaxed),
-            self.fsyncs.load(Ordering::Relaxed),
-        )
-    }
-
     /// Registers every series under `wal.*` in `plane`'s registry.
     pub fn register(&self, plane: &ObsPlane) {
         let r = &plane.registry;
@@ -725,18 +716,15 @@ impl Wal {
     /// Blocks until logical offset `upto` is durable per the sync mode.
     /// [`SyncMode::None`] and [`SyncMode::Async`] return immediately.
     ///
-    /// [`SyncMode::Sync`] and [`SyncMode::GroupCommit`] share one
-    /// leader/follower pipeline: the first waiter becomes the leader and
-    /// issues the fsync; everyone who appended before that fsync rides it
-    /// and returns without issuing their own. The only difference is the
-    /// batching window — GroupCommit sleeps `window` to let the group
-    /// build, Sync goes straight to the fsync and lets the fsync's own
-    /// duration collect concurrent committers (an idle log still pays
-    /// exactly one fsync per commit, so latency is unchanged).
+    /// [`SyncMode::GroupCommit`] is a leader/follower pipeline: the first
+    /// waiter becomes the leader, sleeps `window` to let the group build,
+    /// and issues the fsync; everyone who appended before that fsync rides
+    /// it and returns without issuing their own. With a zero window the
+    /// fsync's own duration collects concurrent committers (an idle log
+    /// still pays exactly one fsync per commit).
     pub fn wait_durable(&self, upto: u64) -> Result<(), WalError> {
         let window = match self.mode {
             SyncMode::None | SyncMode::Async => return Ok(()),
-            SyncMode::Sync => Duration::ZERO,
             SyncMode::GroupCommit { window } => window,
         };
         let mut g = self.group.lock();
@@ -1147,7 +1135,13 @@ mod tests {
     #[test]
     fn append_then_parse() {
         let path = temp("parse");
-        let wal = Wal::open(&path, SyncMode::Sync).unwrap();
+        let wal = Wal::open(
+            &path,
+            SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            },
+        )
+        .unwrap();
         let writes = vec![(8u64, Bytes::from(vec![9u8; 4]))];
         let end = {
             let mut a = wal.lock();
@@ -1159,8 +1153,8 @@ mod tests {
             a.append(&Record::Commit { txid: 2 }).unwrap()
         };
         wal.wait_durable(end).unwrap();
-        assert_eq!(wal.stats.snapshot().0, 2);
-        assert!(wal.stats.snapshot().2 >= 1);
+        assert_eq!(wal.stats.appends.get(), 2);
+        assert!(wal.stats.fsyncs.get() >= 1);
         drop(wal);
 
         let buf = std::fs::read(&path).unwrap();
@@ -1260,12 +1254,12 @@ mod tests {
                 });
             }
         });
-        let (appends, _, fsyncs) = wal.stats.snapshot();
+        let (appends, fsyncs) = (wal.stats.appends.get(), wal.stats.fsyncs.get());
         assert_eq!(appends, 8);
         assert!((1..8).contains(&fsyncs), "fsyncs {fsyncs} not batched");
     }
 
-    /// Sync mode shares fsyncs too: when every append lands before any
+    /// A zero window shares fsyncs too: when every append lands before any
     /// waiter reaches `wait_durable` (forced by the barrier), the first
     /// leader's fsync covers all of them and the rest ride it. Allows 2
     /// for the race where a thread claims leadership between the first
@@ -1273,7 +1267,15 @@ mod tests {
     #[test]
     fn sync_mode_shares_fsyncs_under_concurrency() {
         let path = temp("sync-share");
-        let wal = Arc::new(Wal::open(&path, SyncMode::Sync).unwrap());
+        let wal = Arc::new(
+            Wal::open(
+                &path,
+                SyncMode::GroupCommit {
+                    window: Duration::ZERO,
+                },
+            )
+            .unwrap(),
+        );
         let writes = vec![(0u64, Bytes::from(vec![1u8; 8]))];
         let barrier = std::sync::Barrier::new(8);
         std::thread::scope(|s| {
@@ -1295,11 +1297,11 @@ mod tests {
                 });
             }
         });
-        let (appends, _, fsyncs) = wal.stats.snapshot();
+        let (appends, fsyncs) = (wal.stats.appends.get(), wal.stats.fsyncs.get());
         assert_eq!(appends, 8);
         assert!(
             (1..=2).contains(&fsyncs),
-            "fsyncs {fsyncs}: sync-mode committers did not share"
+            "fsyncs {fsyncs}: zero-window committers did not share"
         );
     }
 }

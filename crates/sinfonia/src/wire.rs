@@ -18,15 +18,14 @@
 //! The module is std-only: plain blocking TCP / Unix-domain sockets, no
 //! async runtime. [`Endpoint`] names a listening address in either family.
 
+use crate::addr::MemNodeId;
 use crate::bytes::Bytes;
 use crate::lock::TxId;
 use crate::memnode::{SingleResult, Vote};
 use crate::minitx::LockPolicy;
 use crate::recovery::NodeMeta;
-use crate::rpc::NodeStats;
 use crate::wal::crc32;
 use minuet_obs::SpanRecord;
-use std::collections::{HashMap, HashSet};
 use std::io::{self, Read, Write};
 use std::path::PathBuf;
 use std::time::Duration;
@@ -40,8 +39,11 @@ use std::time::Duration;
 /// never need a dedicated `Flags` round trip on the hot path. Version 4
 /// adds the epoch/replication family: `EpochMark`, and the WAL-streaming
 /// requests `ReplFetch` / `ReplApply` / `ReplStatus` with their `Epoch`,
-/// `Frames`, and `ReplStatus` replies.
-pub const PROTO_VERSION: u16 = 4;
+/// `Frames`, and `ReplStatus` replies. Version 5 removes the `Stats` and
+/// `Flags` requests and their replies (a `Hello` probes the flags, and the
+/// metrics registry carries every count), and `Meta` on a crashed node
+/// answers `Unavailable`.
+pub const PROTO_VERSION: u16 = 5;
 
 /// Largest admissible frame payload. Frames claiming more are rejected
 /// before any allocation, bounding what a corrupt length prefix can cost.
@@ -353,11 +355,11 @@ pub fn decode_frame(buf: &[u8]) -> Result<(Bytes, usize), WireError> {
 }
 
 // ---------------------------------------------------------------------------
-// Cursor (bounds-checked zero-copy reader over a frame payload)
+// Field codec (bounds-checked, zero-copy on byte payloads)
 // ---------------------------------------------------------------------------
 
-/// Bounds-checked little-endian reader over a frame payload. Variable-
-/// length fields come back as [`Bytes`] slices of the frame buffer.
+/// Bounds-checked reader over a frame payload. Variable-length fields come
+/// back as [`Bytes`] slices of the frame buffer.
 struct Cur<'a> {
     buf: &'a Bytes,
     pos: usize,
@@ -378,40 +380,8 @@ impl<'a> Cur<'a> {
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, WireError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, WireError> {
-        Ok(u16::from_le_bytes(self.take(2)?.try_into().unwrap()))
-    }
-
-    fn u32(&mut self) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-
-    fn u64(&mut self) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-
-    fn bool(&mut self) -> Result<bool, WireError> {
-        match self.u8()? {
-            0 => Ok(false),
-            1 => Ok(true),
-            _ => Err(WireError::BadValue("boolean")),
-        }
-    }
-
-    /// A length-prefixed byte payload, aliased from the frame buffer.
-    fn bytes(&mut self) -> Result<Bytes, WireError> {
-        let len = self.u32()? as usize;
-        let end = self.pos.checked_add(len).ok_or(WireError::Truncated)?;
-        if end > self.buf.len() {
-            return Err(WireError::Truncated);
-        }
-        let b = self.buf.slice(self.pos, len);
-        self.pos = end;
-        Ok(b)
+    fn peek(&self) -> Result<u8, WireError> {
+        self.buf.get(self.pos).copied().ok_or(WireError::Truncated)
     }
 
     fn done(&self) -> Result<(), WireError> {
@@ -423,21 +393,252 @@ impl<'a> Cur<'a> {
     }
 }
 
-fn put_u16(buf: &mut Vec<u8>, v: u16) {
-    buf.extend_from_slice(&v.to_le_bytes());
+/// One message field's little-endian wire form. Sequences are a `u32`
+/// count followed by the items; byte payloads a `u32` length followed by
+/// the bytes.
+trait Field: Sized {
+    /// Most items a decoded sequence of this type may hold.
+    const MAX_COUNT: u32 = u32::MAX;
+
+    fn put(&self, buf: &mut Vec<u8>);
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError>;
 }
 
-fn put_u32(buf: &mut Vec<u8>, v: u32) {
-    buf.extend_from_slice(&v.to_le_bytes());
+macro_rules! int_field {
+    ($($t:ty),*) => {$(
+        impl Field for $t {
+            fn put(&self, buf: &mut Vec<u8>) {
+                buf.extend_from_slice(&self.to_le_bytes());
+            }
+
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                let raw = c.take(std::mem::size_of::<$t>())?;
+                Ok(<$t>::from_le_bytes(raw.try_into().expect("took the exact width")))
+            }
+        }
+    )*};
 }
 
-fn put_u64(buf: &mut Vec<u8>, v: u64) {
-    buf.extend_from_slice(&v.to_le_bytes());
+int_field!(u8, u16, u32, u64);
+
+macro_rules! tuple_field {
+    ($($T:ident $i:tt),+) => {
+        impl<$($T: Field),+> Field for ($($T,)+) {
+            fn put(&self, buf: &mut Vec<u8>) {
+                $(self.$i.put(buf);)+
+            }
+
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                Ok(($($T::get(c)?,)+))
+            }
+        }
+    };
+}
+
+tuple_field!(A 0, B 1);
+tuple_field!(A 0, B 1, C 2);
+
+impl Field for bool {
+    fn put(&self, buf: &mut Vec<u8>) {
+        buf.push(*self as u8);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        match u8::get(c)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(WireError::BadValue("boolean")),
+        }
+    }
+}
+
+/// Item indices of a minitransaction travel as `u32`.
+impl Field for usize {
+    fn put(&self, buf: &mut Vec<u8>) {
+        (*self as u32).put(buf);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(u32::get(c)? as usize)
+    }
+}
+
+impl Field for MemNodeId {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.0.put(buf);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(MemNodeId(u16::get(c)?))
+    }
+}
+
+/// Decodes as a slice of the frame buffer: no copy.
+impl Field for Bytes {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        let len = u32::get(c)? as usize;
+        let start = c.pos;
+        c.take(len)?;
+        Ok(c.buf.slice(start, len))
+    }
+}
+
+impl Field for String {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_bytes(buf, self.as_bytes());
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(String::from_utf8_lossy(&Bytes::get(c)?).into_owned())
+    }
 }
 
 fn put_bytes(buf: &mut Vec<u8>, b: &[u8]) {
-    put_u32(buf, b.len() as u32);
+    (b.len() as u32).put(buf);
     buf.extend_from_slice(b);
+}
+
+fn put_seq<T: Field>(buf: &mut Vec<u8>, items: &[T]) {
+    (items.len() as u32).put(buf);
+    for it in items {
+        it.put(buf);
+    }
+}
+
+impl<T: Field> Field for Vec<T> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        put_seq(buf, self);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        let n = u32::get(c)?;
+        if n > T::MAX_COUNT {
+            return Err(WireError::BadValue("item count"));
+        }
+        (0..n).map(|_| T::get(c)).collect()
+    }
+}
+
+impl Field for SpanRecord {
+    const MAX_COUNT: u32 = minuet_obs::trace::MAX_TRACE_SPANS as u32;
+
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.encode_into(buf);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        SpanRecord::decode_from(c.take(19)?, &mut 0).ok_or(WireError::BadValue("span record"))
+    }
+}
+
+impl Field for LockPolicy {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            LockPolicy::AbortOnBusy => buf.push(0),
+            LockPolicy::Block(d) => {
+                buf.push(1);
+                (d.as_nanos().min(u128::from(u64::MAX)) as u64).put(buf);
+            }
+        }
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        match u8::get(c)? {
+            0 => Ok(LockPolicy::AbortOnBusy),
+            1 => Ok(LockPolicy::Block(Duration::from_nanos(u64::get(c)?))),
+            _ => Err(WireError::BadValue("lock policy")),
+        }
+    }
+}
+
+/// [`SingleResult`] and [`Vote`] share one shape: kind byte 0 carries the
+/// read results, 1 the failed compare indices, 2 nothing (busy).
+macro_rules! outcome_field {
+    ($T:ident :: $Ok:ident, $what:literal) => {
+        impl Field for $T {
+            fn put(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $T::$Ok(pairs) => {
+                        buf.push(0);
+                        pairs.put(buf);
+                    }
+                    $T::BadCompare(idx) => {
+                        buf.push(1);
+                        idx.put(buf);
+                    }
+                    $T::Busy => buf.push(2),
+                }
+            }
+
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                match u8::get(c)? {
+                    0 => Ok($T::$Ok(Field::get(c)?)),
+                    1 => Ok($T::BadCompare(Field::get(c)?)),
+                    2 => Ok($T::Busy),
+                    _ => Err(WireError::BadValue($what)),
+                }
+            }
+        }
+    };
+}
+
+outcome_field!(SingleResult::Committed, "single result kind");
+outcome_field!(Vote::Ok, "vote kind");
+
+/// A batch member: kind byte 0 carries the result, 1 the id of the
+/// crashed memnode.
+impl Field for Result<SingleResult, u16> {
+    fn put(&self, buf: &mut Vec<u8>) {
+        match self {
+            Ok(r) => {
+                buf.push(0);
+                r.put(buf);
+            }
+            Err(id) => {
+                buf.push(1);
+                id.put(buf);
+            }
+        }
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        match u8::get(c)? {
+            0 => Ok(Ok(SingleResult::get(c)?)),
+            1 => Ok(Err(u16::get(c)?)),
+            _ => Err(WireError::BadValue("batch member kind")),
+        }
+    }
+}
+
+/// Staged transactions and the decided set, each sorted by txid so the
+/// encoding is deterministic (`HashMap` iteration order is not).
+impl Field for NodeMeta {
+    fn put(&self, buf: &mut Vec<u8>) {
+        let mut staged: Vec<_> = self.staged.iter().collect();
+        staged.sort_by_key(|(txid, _)| **txid);
+        (staged.len() as u32).put(buf);
+        for (txid, parts) in staged {
+            txid.put(buf);
+            parts.put(buf);
+        }
+        let mut decided: Vec<TxId> = self.decided.iter().copied().collect();
+        decided.sort_unstable();
+        decided.put(buf);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        let staged: Vec<(TxId, Vec<MemNodeId>)> = Field::get(c)?;
+        let decided: Vec<TxId> = Field::get(c)?;
+        Ok(NodeMeta {
+            staged: staged.into_iter().collect(),
+            decided: decided.into_iter().collect(),
+        })
+    }
 }
 
 // ---------------------------------------------------------------------------
@@ -483,50 +684,6 @@ impl WireShard {
         }
     }
 
-    fn encode(&self, buf: &mut Vec<u8>) {
-        put_u32(buf, self.compares.len() as u32);
-        for (idx, off, expected) in &self.compares {
-            put_u32(buf, *idx);
-            put_u64(buf, *off);
-            put_bytes(buf, expected);
-        }
-        put_u32(buf, self.reads.len() as u32);
-        for (idx, off, len) in &self.reads {
-            put_u32(buf, *idx);
-            put_u64(buf, *off);
-            put_u32(buf, *len);
-        }
-        put_u32(buf, self.writes.len() as u32);
-        for (idx, off, data) in &self.writes {
-            put_u32(buf, *idx);
-            put_u64(buf, *off);
-            put_bytes(buf, data);
-        }
-    }
-
-    fn decode(c: &mut Cur<'_>) -> Result<WireShard, WireError> {
-        let mut s = WireShard::default();
-        for _ in 0..c.u32()? {
-            let idx = c.u32()?;
-            let off = c.u64()?;
-            let expected = c.bytes()?;
-            s.compares.push((idx, off, expected));
-        }
-        for _ in 0..c.u32()? {
-            let idx = c.u32()?;
-            let off = c.u64()?;
-            let len = c.u32()?;
-            s.reads.push((idx, off, len));
-        }
-        for _ in 0..c.u32()? {
-            let idx = c.u32()?;
-            let off = c.u64()?;
-            let data = c.bytes()?;
-            s.writes.push((idx, off, data));
-        }
-        Ok(s)
-    }
-
     /// Highest byte offset any item touches (exclusive); used by the
     /// server for bounds validation before dispatch.
     pub fn max_extent(&self) -> u64 {
@@ -546,27 +703,21 @@ impl WireShard {
     }
 }
 
-fn encode_policy(buf: &mut Vec<u8>, p: LockPolicy) {
-    match p {
-        LockPolicy::AbortOnBusy => buf.push(0),
-        LockPolicy::Block(d) => {
-            buf.push(1);
-            put_u64(buf, d.as_nanos().min(u128::from(u64::MAX)) as u64);
-        }
+impl Field for WireShard {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.compares.put(buf);
+        self.reads.put(buf);
+        self.writes.put(buf);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(WireShard {
+            compares: Field::get(c)?,
+            reads: Field::get(c)?,
+            writes: Field::get(c)?,
+        })
     }
 }
-
-fn decode_policy(c: &mut Cur<'_>) -> Result<LockPolicy, WireError> {
-    match c.u8()? {
-        0 => Ok(LockPolicy::AbortOnBusy),
-        1 => Ok(LockPolicy::Block(Duration::from_nanos(c.u64()?))),
-        _ => Err(WireError::BadValue("lock policy")),
-    }
-}
-
-// ---------------------------------------------------------------------------
-// Requests
-// ---------------------------------------------------------------------------
 
 /// One batched minitransaction as shipped in [`Request::ExecBatch`].
 #[derive(Debug, Clone, PartialEq)]
@@ -579,557 +730,393 @@ pub struct WireBatchItem {
     pub shard: WireShard,
 }
 
-/// A client→server message. One request per frame; every request gets
-/// exactly one [`Response`] frame back on the same connection.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Request {
-    /// Handshake: the server answers with its id, capacity, and version.
-    Hello {
-        /// Client's protocol version.
-        version: u16,
-    },
-    /// Collapsed one-phase minitransaction execution.
-    ExecSingle {
-        /// Minitransaction id.
-        txid: TxId,
-        /// Lock contention policy.
-        policy: LockPolicy,
-        /// Items destined for this memnode.
-        shard: WireShard,
-    },
-    /// A batch of independent single-memnode minitransactions sharing this
-    /// round trip (the `exec_many` fast path).
-    ExecBatch {
-        /// The batch members, executed in order.
-        items: Vec<WireBatchItem>,
-    },
-    /// Two-phase prepare (vote request).
-    Prepare {
-        /// Minitransaction id.
-        txid: TxId,
-        /// Lock contention policy.
-        policy: LockPolicy,
-        /// Full participant set (logged for in-doubt resolution).
-        participants: Vec<u16>,
-        /// Items destined for this memnode.
-        shard: WireShard,
-    },
-    /// Two-phase commit decision.
-    Commit {
-        /// Minitransaction id.
-        txid: TxId,
-    },
-    /// Two-phase abort decision.
-    Abort {
-        /// Minitransaction id.
-        txid: TxId,
-    },
-    /// Unsynchronized raw read (bootstrap / GC scans).
-    RawRead {
-        /// Byte offset.
-        off: u64,
-        /// Length.
-        len: u32,
-    },
-    /// Raw bootstrap write.
-    RawWrite {
-        /// Byte offset.
-        off: u64,
-        /// Payload.
-        data: Bytes,
-    },
-    /// Sets / clears the elastic-join fence (no replicated reads until
-    /// seeded).
-    SetJoining(bool),
-    /// Sets / clears the drain fence (allocation steers away).
-    SetRetiring(bool),
-    /// Crash injection: drop volatile state.
-    Crash,
-    /// Recover from mirror / disk.
-    Recover,
-    /// Take a checkpoint now.
-    Checkpoint,
-    /// Fetch operation / durability counters.
-    Stats,
-    /// Fetch crashed/joining/retiring flags.
-    Flags,
-    /// Fetch recovery metadata (in-doubt transactions + decided set).
-    Meta,
-    /// Compare primary and backup images over the probe ranges.
-    MirrorConsistent {
-        /// `(offset, length)` probe ranges.
-        probe: Vec<(u64, u32)>,
-    },
-    /// Ask the server process to exit cleanly after replying.
-    Shutdown,
-    /// Trace envelope: the inner request executes normally, and the reply
-    /// comes back as [`Response::TracedReply`] carrying the server-side
-    /// spans recorded while serving it. Envelopes do not nest.
-    Traced {
-        /// Client-assigned trace id (stitches server spans onto the
-        /// client's trace).
-        trace_id: u64,
-        /// The request being traced.
-        inner: Box<Request>,
-    },
-    /// Fetch the server's full metrics snapshot (every registered counter
-    /// and histogram), answered by [`Response::Obs`].
-    ObsSnapshot,
-    /// Fetch recent traces from the server's buffer, answered by
-    /// [`Response::Traces`].
-    TraceDump {
-        /// At most this many traces, newest last.
-        max: u32,
-        /// Dump the slow-op buffer instead of the recent-trace buffer.
-        slow: bool,
-    },
-    /// Advances the memnode's advisory epoch register (forward-only);
-    /// answered by [`Response::Epoch`] carrying the previous value.
-    EpochMark {
-        /// The epoch to advance to.
-        epoch: u64,
-        /// Whether this marks the close of the epoch (advisory).
-        closing: bool,
-    },
-    /// Fetches raw WAL frames starting at logical offset `from`, answered
-    /// by [`Response::Frames`]. The replication pull path.
-    ReplFetch {
-        /// Logical WAL offset to read from.
-        from: u64,
-        /// At most this many bytes back.
-        max: u32,
-    },
-    /// Applies a fetched segment of primary WAL frames on a follower;
-    /// answered by [`Response::ReplStatus`].
-    ReplApply {
-        /// Logical source-WAL offset the segment starts at.
-        from: u64,
-        /// Raw CRC-framed WAL bytes as fetched from the primary.
-        frames: Bytes,
-    },
-    /// Fetches the follower-side replication watermark and counters,
-    /// answered by [`Response::ReplStatus`].
-    ReplStatus,
-    /// Admin: applies a fault-injection spec (`minuet_faults::apply_spec`
-    /// grammar, e.g. `"wal.fsync=err:count=3"` or `"clear"`) inside the
-    /// server process; answered by [`Response::Faults`] carrying the
-    /// number of failpoints armed afterwards.
-    Faults {
-        /// The spec string, handed to `apply_spec` verbatim.
-        spec: String,
-    },
+impl Field for WireBatchItem {
+    fn put(&self, buf: &mut Vec<u8>) {
+        self.txid.put(buf);
+        self.policy.put(buf);
+        self.shard.put(buf);
+    }
+
+    fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+        Ok(WireBatchItem {
+            txid: Field::get(c)?,
+            policy: Field::get(c)?,
+            shard: Field::get(c)?,
+        })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Message tables
+// ---------------------------------------------------------------------------
+
+/// Declares one direction of the protocol from a table. Each row names a
+/// variant, its fields, its tag constant and byte, and its kind name; the
+/// fields go on the wire in declaration order after the tag byte, each in
+/// its [`Field`] form. From the table come the enum, the tag constants, and
+/// `kind_name`, `tag_byte`, `encode` and `decode`. The first row is the
+/// envelope, which wraps one inner message (field `inner`) that may not
+/// itself be an envelope; `kind_name` and `tag_byte` report the inner
+/// message.
+macro_rules! messages {
+    (
+        $(#[$meta:meta])*
+        pub enum $Enum:ident in $tags:ident {
+            $(#[$emeta:meta])*
+            envelope $Env:ident {
+                $($(#[$efmeta:meta])* $ef:ident: $eft:ty,)*
+            } = $ETAG:ident($etag:literal, $nested:literal);
+            $(
+                $(#[$vmeta:meta])*
+                $V:ident
+                $(($tf:ident: $tt:ty))?
+                $({ $($(#[$fmeta:meta])* $f:ident: $ft:ty,)* })?
+                = $TAG:ident($tag:literal, $kind:literal);
+            )*
+        }
+    ) => {
+        $(#[$meta])*
+        #[derive(Debug, Clone, PartialEq)]
+        pub enum $Enum {
+            $(
+                $(#[$vmeta])*
+                $V $(($tt))? $({ $($(#[$fmeta])* $f: $ft,)* })?,
+            )*
+            $(#[$emeta])*
+            $Env { $($(#[$efmeta])* $ef: $eft,)* },
+        }
+
+        mod $tags {
+            $(
+                #[doc = concat!("Tag byte of `", stringify!($Enum), "::", stringify!($V), "`.")]
+                pub const $TAG: u8 = $tag;
+            )*
+            #[doc = concat!("Tag byte of `", stringify!($Enum), "::", stringify!($Env), "`.")]
+            pub const $ETAG: u8 = $etag;
+        }
+
+        impl $Enum {
+            /// Encodes the message as a complete sealed frame.
+            pub fn encode(&self) -> Vec<u8> {
+                seal(|buf| self.encode_payload(buf))
+            }
+
+            /// Decodes a message from a frame payload (as returned by
+            /// [`read_frame`]). Byte payloads alias the frame buffer.
+            pub fn decode(payload: &Bytes) -> Result<$Enum, WireError> {
+                let mut c = Cur::new(payload);
+                let msg = Self::get(&mut c)?;
+                c.done()?;
+                Ok(msg)
+            }
+
+            /// Stable kind name; request kinds name the metric series
+            /// (`wire.lat.exec_single`). An envelope reports its inner
+            /// message's kind.
+            pub fn kind_name(&self) -> &'static str {
+                match self {
+                    $($Enum::$V { .. } => $kind,)*
+                    $Enum::$Env { inner, .. } => inner.kind_name(),
+                }
+            }
+
+            /// The wire tag byte (the inner message's for an envelope);
+            /// RTT spans carry it to name the request kind.
+            pub fn tag_byte(&self) -> u8 {
+                match self {
+                    $($Enum::$V { .. } => $tags::$TAG,)*
+                    $Enum::$Env { inner, .. } => inner.tag_byte(),
+                }
+            }
+
+            fn encode_payload(&self, buf: &mut Vec<u8>) {
+                match self {
+                    $(
+                        $Enum::$V $(($tf))? $({ $($f,)* })? => {
+                            buf.push($tags::$TAG);
+                            $($tf.put(buf);)?
+                            $($($f.put(buf);)*)?
+                        }
+                    )*
+                    $Enum::$Env { $($ef,)* } => {
+                        buf.push($tags::$ETAG);
+                        $($ef.put(buf);)*
+                    }
+                }
+            }
+        }
+
+        impl Field for $Enum {
+            fn put(&self, buf: &mut Vec<u8>) {
+                self.encode_payload(buf);
+            }
+
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                Ok(match u8::get(c)? {
+                    $(
+                        $tags::$TAG => $Enum::$V
+                            $((<$tt as Field>::get(c)?))?
+                            $({ $($f: Field::get(c)?,)* })?,
+                    )*
+                    $tags::$ETAG => $Enum::$Env { $($ef: Field::get(c)?,)* },
+                    t => return Err(WireError::BadTag(t)),
+                })
+            }
+        }
+
+        /// The envelope's inner message: checked before decoding, so a
+        /// nested envelope is refused without recursing.
+        impl Field for Box<$Enum> {
+            fn put(&self, buf: &mut Vec<u8>) {
+                debug_assert!(!matches!(**self, $Enum::$Env { .. }), "envelopes do not nest");
+                self.encode_payload(buf);
+            }
+
+            fn get(c: &mut Cur<'_>) -> Result<Self, WireError> {
+                if c.peek()? == $tags::$ETAG {
+                    return Err(WireError::BadValue($nested));
+                }
+                Ok(Box::new($Enum::get(c)?))
+            }
+        }
+    };
+}
+
+messages! {
+    /// A client→server message. One request per frame; every request gets
+    /// exactly one [`Response`] frame back on the same connection.
+    pub enum Request in request_tags {
+        /// Trace envelope: the inner request executes normally, and the
+        /// reply comes back as [`Response::TracedReply`] carrying the
+        /// server-side spans recorded while serving it.
+        envelope Traced {
+            /// Client-assigned trace id (stitches server spans onto the
+            /// client's trace).
+            trace_id: u64,
+            /// The request being traced.
+            inner: Box<Request>,
+        } = TRACED(0x13, "nested traced envelope");
+        /// Handshake: the server answers with its id, capacity, and
+        /// version. Its reply's flags trailer makes it the flag probe too.
+        Hello {
+            /// Client's protocol version.
+            version: u16,
+        } = HELLO(0x01, "hello");
+        /// Collapsed one-phase minitransaction execution.
+        ExecSingle {
+            /// Minitransaction id.
+            txid: TxId,
+            /// Lock contention policy.
+            policy: LockPolicy,
+            /// Items destined for this memnode.
+            shard: WireShard,
+        } = EXEC_SINGLE(0x02, "exec_single");
+        /// A batch of independent single-memnode minitransactions sharing
+        /// this round trip (the `exec_many` fast path).
+        ExecBatch {
+            /// The batch members, executed in order.
+            items: Vec<WireBatchItem>,
+        } = EXEC_BATCH(0x03, "exec_batch");
+        /// Two-phase prepare (vote request).
+        Prepare {
+            /// Minitransaction id.
+            txid: TxId,
+            /// Lock contention policy.
+            policy: LockPolicy,
+            /// Full participant set (logged for in-doubt resolution).
+            participants: Vec<u16>,
+            /// Items destined for this memnode.
+            shard: WireShard,
+        } = PREPARE(0x04, "prepare");
+        /// Two-phase commit decision.
+        Commit {
+            /// Minitransaction id.
+            txid: TxId,
+        } = COMMIT(0x05, "commit");
+        /// Two-phase abort decision.
+        Abort {
+            /// Minitransaction id.
+            txid: TxId,
+        } = ABORT(0x06, "abort");
+        /// Unsynchronized raw read (bootstrap / GC scans).
+        RawRead {
+            /// Byte offset.
+            off: u64,
+            /// Length.
+            len: u32,
+        } = RAW_READ(0x07, "raw_read");
+        /// Raw bootstrap write.
+        RawWrite {
+            /// Byte offset.
+            off: u64,
+            /// Payload.
+            data: Bytes,
+        } = RAW_WRITE(0x08, "raw_write");
+        /// Sets / clears the elastic-join fence (no replicated reads until
+        /// seeded).
+        SetJoining(on: bool) = SET_JOINING(0x09, "set_joining");
+        /// Sets / clears the drain fence (allocation steers away).
+        SetRetiring(on: bool) = SET_RETIRING(0x0A, "set_retiring");
+        /// Crash injection: drop volatile state.
+        Crash = CRASH(0x0B, "crash");
+        /// Recover from mirror / disk.
+        Recover = RECOVER(0x0C, "recover");
+        /// Take a checkpoint now.
+        Checkpoint = CHECKPOINT(0x0D, "checkpoint");
+        /// Fetch recovery metadata (in-doubt transactions + decided set);
+        /// a crashed node answers [`Response::Unavailable`].
+        Meta = META(0x10, "meta");
+        /// Compare primary and backup images over the probe ranges.
+        MirrorConsistent {
+            /// `(offset, length)` probe ranges.
+            probe: Vec<(u64, u32)>,
+        } = MIRROR(0x11, "mirror");
+        /// Ask the server process to exit cleanly after replying.
+        Shutdown = SHUTDOWN(0x12, "shutdown");
+        /// Fetch the server's full metrics snapshot (every registered
+        /// counter and histogram), answered by [`Response::Obs`].
+        ObsSnapshot = OBS_SNAPSHOT(0x14, "obs_snapshot");
+        /// Fetch recent traces from the server's buffer, answered by
+        /// [`Response::Traces`].
+        TraceDump {
+            /// At most this many traces, newest last.
+            max: u32,
+            /// Dump the slow-op buffer instead of the recent-trace buffer.
+            slow: bool,
+        } = TRACE_DUMP(0x15, "trace_dump");
+        /// Advances the memnode's advisory epoch register (forward-only);
+        /// answered by [`Response::Epoch`] carrying the previous value.
+        EpochMark {
+            /// The epoch to advance to.
+            epoch: u64,
+            /// Whether this marks the close of the epoch (advisory).
+            closing: bool,
+        } = EPOCH_MARK(0x16, "epoch_mark");
+        /// Fetches raw WAL frames starting at logical offset `from`,
+        /// answered by [`Response::Frames`]. The replication pull path.
+        ReplFetch {
+            /// Logical WAL offset to read from.
+            from: u64,
+            /// At most this many bytes back.
+            max: u32,
+        } = REPL_FETCH(0x17, "repl_fetch");
+        /// Applies a fetched segment of primary WAL frames on a follower;
+        /// answered by [`Response::ReplStatus`].
+        ReplApply {
+            /// Logical source-WAL offset the segment starts at.
+            from: u64,
+            /// Raw CRC-framed WAL bytes as fetched from the primary.
+            frames: Bytes,
+        } = REPL_APPLY(0x18, "repl_apply");
+        /// Fetches the follower-side replication watermark and counters,
+        /// answered by [`Response::ReplStatus`].
+        ReplStatus = REPL_STATUS(0x19, "repl_status");
+        /// Admin: applies a fault-injection spec (`minuet_faults::apply_spec`
+        /// grammar, e.g. `"wal.fsync=err:count=3"` or `"clear"`) inside the
+        /// server process; answered by [`Response::Faults`] carrying the
+        /// number of failpoints armed afterwards.
+        Faults {
+            /// The spec string, handed to `apply_spec` verbatim.
+            spec: String,
+        } = FAULTS(0x1A, "faults");
+    }
+}
+
+messages! {
+    /// A server→client message. `Unavailable` mirrors the in-process
+    /// [`crate::memnode::Unavailable`] error; `Error` carries anything else
+    /// (bounds violations, I/O failures) as text.
+    pub enum Response in response_tags {
+        /// Reply to a [`Request::Traced`] envelope: the server-side spans
+        /// recorded while serving the inner request, plus the inner reply.
+        envelope TracedReply {
+            /// Spans recorded on the server (start offsets server-relative).
+            spans: Vec<SpanRecord>,
+            /// The inner request's reply.
+            inner: Box<Response>,
+        } = R_TRACED(0x8D, "nested traced reply");
+        /// Handshake reply.
+        Hello {
+            /// Server's protocol version.
+            version: u16,
+            /// Server's memnode id.
+            node: u16,
+            /// Server's address-space capacity in bytes.
+            capacity: u64,
+        } = R_HELLO(0x81, "hello");
+        /// One-phase execution result.
+        Single(r: SingleResult) = R_SINGLE(0x82, "single");
+        /// Per-member batch results (`Err` members hit a crashed node).
+        Batch(members: Vec<Result<SingleResult, u16>>) = R_BATCH(0x83, "batch");
+        /// Prepare vote.
+        Vote(v: Vote) = R_VOTE(0x84, "vote");
+        /// Success with no payload.
+        Unit = R_UNIT(0x85, "unit");
+        /// Raw read payload.
+        Data(b: Bytes) = R_DATA(0x86, "data");
+        /// Boolean result (checkpoint taken, mirror consistent).
+        Bool(v: bool) = R_BOOL(0x87, "bool");
+        /// Recovery metadata.
+        Meta(m: NodeMeta) = R_META(0x8A, "meta");
+        /// The memnode is crashed; carries its id.
+        Unavailable(id: u16) = R_UNAVAILABLE(0x8B, "unavailable");
+        /// Any other server-side failure, as text.
+        Error(msg: String) = R_ERROR(0x8C, "error");
+        /// An encoded [`minuet_obs::ObsSnapshot`], shipped opaquely.
+        Obs(b: Bytes) = R_OBS(0x8E, "obs");
+        /// Encoded traces ([`minuet_obs::Trace::encode_many`]), shipped
+        /// opaquely.
+        Traces(b: Bytes) = R_TRACES(0x8F, "traces");
+        /// Reply to [`Request::EpochMark`]: the register's previous value.
+        Epoch(prev: u64) = R_EPOCH(0x90, "epoch");
+        /// Reply to [`Request::ReplFetch`]: a raw WAL segment.
+        Frames {
+            /// Logical offset the segment starts at (echoes the request).
+            from: u64,
+            /// The server WAL's base offset (start of retained log). When
+            /// `base > from` the requested prefix has been checkpointed away.
+            base: u64,
+            /// The server WAL's logical tail at fetch time.
+            tail: u64,
+            /// Raw CRC-framed WAL bytes (whole frames; may be empty).
+            bytes: Bytes,
+        } = R_FRAMES(0x91, "frames");
+        /// Reply to [`Request::ReplApply`] / [`Request::ReplStatus`].
+        ReplStatus {
+            /// Largest source-WAL offset durably incorporated.
+            watermark: u64,
+            /// Largest txid applied through replication.
+            applied_txid: u64,
+            /// The follower's own WAL tail.
+            tail: u64,
+            /// Total frames applied.
+            applies: u64,
+            /// Frames skipped as already-applied duplicates.
+            dup_skips: u64,
+        } = R_REPL_STATUS(0x92, "repl_status");
+        /// Reply to [`Request::Faults`]: the number of failpoints armed
+        /// after the spec was applied (0 after `"clear"`).
+        Faults {
+            /// Armed failpoint count.
+            armed: u32,
+        } = R_FAULTS(0x93, "faults");
+    }
 }
 
 /// Request/response tag bytes. Public so tests and benches can identify
 /// RPC kinds in traces (client [`minuet_obs::SpanKind::Rtt`] spans carry
 /// the request tag).
 pub mod tag {
-    /// Version/feature handshake.
-    pub const HELLO: u8 = 0x01;
-    /// One-phase single-memnode minitransaction.
-    pub const EXEC_SINGLE: u8 = 0x02;
-    /// Batch of independent single-memnode minitransactions.
-    pub const EXEC_BATCH: u8 = 0x03;
-    /// 2PC phase one (vote).
-    pub const PREPARE: u8 = 0x04;
-    /// 2PC phase two (commit).
-    pub const COMMIT: u8 = 0x05;
-    /// 2PC phase two (abort).
-    pub const ABORT: u8 = 0x06;
-    /// Raw object read (recovery / admin).
-    pub const RAW_READ: u8 = 0x07;
-    /// Raw object write (recovery / admin).
-    pub const RAW_WRITE: u8 = 0x08;
-    /// Set/clear the joining membership flag.
-    pub const SET_JOINING: u8 = 0x09;
-    /// Set/clear the retiring membership flag.
-    pub const SET_RETIRING: u8 = 0x0A;
-    /// Fault injection: drop state, refuse service.
-    pub const CRASH: u8 = 0x0B;
-    /// Fault injection: recover from the WAL.
-    pub const RECOVER: u8 = 0x0C;
-    /// Checkpoint the WAL + space.
-    pub const CHECKPOINT: u8 = 0x0D;
-    /// Memnode counters snapshot.
-    pub const STATS: u8 = 0x0E;
-    /// Explicit membership-flag probe (liveness checks only — flags
-    /// normally ride every reply's trailer byte).
-    pub const FLAGS: u8 = 0x0F;
-    /// Space geometry / capacity metadata.
-    pub const META: u8 = 0x10;
-    /// Backup mirror of the full space.
-    pub const MIRROR: u8 = 0x11;
-    /// Clean daemon shutdown.
-    pub const SHUTDOWN: u8 = 0x12;
-    /// Envelope: inner request + server-side trace in the reply.
-    pub const TRACED: u8 = 0x13;
-    /// Observability registry snapshot.
-    pub const OBS_SNAPSHOT: u8 = 0x14;
-    /// Drain the recent/slow trace ring.
-    pub const TRACE_DUMP: u8 = 0x15;
-    /// Advance the advisory epoch register.
-    pub const EPOCH_MARK: u8 = 0x16;
-    /// Fetch raw WAL frames for replication.
-    pub const REPL_FETCH: u8 = 0x17;
-    /// Apply fetched WAL frames on a follower.
-    pub const REPL_APPLY: u8 = 0x18;
-    /// Probe follower replication watermark and counters.
-    pub const REPL_STATUS: u8 = 0x19;
-    /// Apply a fault-injection spec in the server process (admin).
-    pub const FAULTS: u8 = 0x1A;
-
-    /// Reply to [`HELLO`].
-    pub const R_HELLO: u8 = 0x81;
-    /// Reply to [`EXEC_SINGLE`].
-    pub const R_SINGLE: u8 = 0x82;
-    /// Reply to [`EXEC_BATCH`].
-    pub const R_BATCH: u8 = 0x83;
-    /// Reply to [`PREPARE`].
-    pub const R_VOTE: u8 = 0x84;
-    /// Empty acknowledgement.
-    pub const R_UNIT: u8 = 0x85;
-    /// Byte-payload reply.
-    pub const R_DATA: u8 = 0x86;
-    /// Boolean reply.
-    pub const R_BOOL: u8 = 0x87;
-    /// Reply to [`STATS`].
-    pub const R_STATS: u8 = 0x88;
-    /// Reply to [`FLAGS`].
-    pub const R_FLAGS: u8 = 0x89;
-    /// Reply to [`META`].
-    pub const R_META: u8 = 0x8A;
-    /// Memnode up but refusing service (crashed / draining).
-    pub const R_UNAVAILABLE: u8 = 0x8B;
-    /// Typed error reply.
-    pub const R_ERROR: u8 = 0x8C;
-    /// Reply envelope carrying the server-side trace.
-    pub const R_TRACED: u8 = 0x8D;
-    /// Reply to [`OBS_SNAPSHOT`].
-    pub const R_OBS: u8 = 0x8E;
-    /// Reply to [`TRACE_DUMP`].
-    pub const R_TRACES: u8 = 0x8F;
-    /// Reply to [`EPOCH_MARK`] (previous epoch value).
-    pub const R_EPOCH: u8 = 0x90;
-    /// Reply to [`REPL_FETCH`]: a raw WAL segment.
-    pub const R_FRAMES: u8 = 0x91;
-    /// Reply to [`REPL_APPLY`] / [`REPL_STATUS`].
-    pub const R_REPL_STATUS: u8 = 0x92;
-    /// Reply to [`FAULTS`]: failpoints armed after applying the spec.
-    pub const R_FAULTS: u8 = 0x93;
-}
-
-impl Request {
-    /// Encodes the request as a complete sealed frame, ready to write.
-    pub fn encode(&self) -> Vec<u8> {
-        seal(|buf| self.encode_payload(buf))
-    }
-
-    /// Stable kind name for metric series (`wire.lat.exec_single`). A
-    /// [`Request::Traced`] envelope reports its inner request's kind.
-    pub fn kind_name(&self) -> &'static str {
-        match self {
-            Request::Hello { .. } => "hello",
-            Request::ExecSingle { .. } => "exec_single",
-            Request::ExecBatch { .. } => "exec_batch",
-            Request::Prepare { .. } => "prepare",
-            Request::Commit { .. } => "commit",
-            Request::Abort { .. } => "abort",
-            Request::RawRead { .. } => "raw_read",
-            Request::RawWrite { .. } => "raw_write",
-            Request::SetJoining(_) => "set_joining",
-            Request::SetRetiring(_) => "set_retiring",
-            Request::Crash => "crash",
-            Request::Recover => "recover",
-            Request::Checkpoint => "checkpoint",
-            Request::Stats => "stats",
-            Request::Flags => "flags",
-            Request::Meta => "meta",
-            Request::MirrorConsistent { .. } => "mirror",
-            Request::Shutdown => "shutdown",
-            Request::Traced { inner, .. } => inner.kind_name(),
-            Request::ObsSnapshot => "obs_snapshot",
-            Request::TraceDump { .. } => "trace_dump",
-            Request::EpochMark { .. } => "epoch_mark",
-            Request::ReplFetch { .. } => "repl_fetch",
-            Request::ReplApply { .. } => "repl_apply",
-            Request::ReplStatus => "repl_status",
-            Request::Faults { .. } => "faults",
-        }
-    }
-
-    /// The wire tag byte (inner tag for a [`Request::Traced`] envelope);
-    /// used to tag RTT spans with the request kind.
-    pub fn tag_byte(&self) -> u8 {
-        match self {
-            Request::Hello { .. } => tag::HELLO,
-            Request::ExecSingle { .. } => tag::EXEC_SINGLE,
-            Request::ExecBatch { .. } => tag::EXEC_BATCH,
-            Request::Prepare { .. } => tag::PREPARE,
-            Request::Commit { .. } => tag::COMMIT,
-            Request::Abort { .. } => tag::ABORT,
-            Request::RawRead { .. } => tag::RAW_READ,
-            Request::RawWrite { .. } => tag::RAW_WRITE,
-            Request::SetJoining(_) => tag::SET_JOINING,
-            Request::SetRetiring(_) => tag::SET_RETIRING,
-            Request::Crash => tag::CRASH,
-            Request::Recover => tag::RECOVER,
-            Request::Checkpoint => tag::CHECKPOINT,
-            Request::Stats => tag::STATS,
-            Request::Flags => tag::FLAGS,
-            Request::Meta => tag::META,
-            Request::MirrorConsistent { .. } => tag::MIRROR,
-            Request::Shutdown => tag::SHUTDOWN,
-            Request::Traced { inner, .. } => inner.tag_byte(),
-            Request::ObsSnapshot => tag::OBS_SNAPSHOT,
-            Request::TraceDump { .. } => tag::TRACE_DUMP,
-            Request::EpochMark { .. } => tag::EPOCH_MARK,
-            Request::ReplFetch { .. } => tag::REPL_FETCH,
-            Request::ReplApply { .. } => tag::REPL_APPLY,
-            Request::ReplStatus => tag::REPL_STATUS,
-            Request::Faults { .. } => tag::FAULTS,
-        }
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        match self {
-            Request::Hello { version } => {
-                buf.push(tag::HELLO);
-                put_u16(buf, *version);
-            }
-            Request::ExecSingle {
-                txid,
-                policy,
-                shard,
-            } => {
-                buf.push(tag::EXEC_SINGLE);
-                put_u64(buf, *txid);
-                encode_policy(buf, *policy);
-                shard.encode(buf);
-            }
-            Request::ExecBatch { items } => {
-                buf.push(tag::EXEC_BATCH);
-                put_u32(buf, items.len() as u32);
-                for it in items {
-                    put_u64(buf, it.txid);
-                    encode_policy(buf, it.policy);
-                    it.shard.encode(buf);
-                }
-            }
-            Request::Prepare {
-                txid,
-                policy,
-                participants,
-                shard,
-            } => {
-                buf.push(tag::PREPARE);
-                put_u64(buf, *txid);
-                encode_policy(buf, *policy);
-                put_u32(buf, participants.len() as u32);
-                for p in participants {
-                    put_u16(buf, *p);
-                }
-                shard.encode(buf);
-            }
-            Request::Commit { txid } => {
-                buf.push(tag::COMMIT);
-                put_u64(buf, *txid);
-            }
-            Request::Abort { txid } => {
-                buf.push(tag::ABORT);
-                put_u64(buf, *txid);
-            }
-            Request::RawRead { off, len } => {
-                buf.push(tag::RAW_READ);
-                put_u64(buf, *off);
-                put_u32(buf, *len);
-            }
-            Request::RawWrite { off, data } => {
-                buf.push(tag::RAW_WRITE);
-                put_u64(buf, *off);
-                put_bytes(buf, data);
-            }
-            Request::SetJoining(v) => {
-                buf.push(tag::SET_JOINING);
-                buf.push(*v as u8);
-            }
-            Request::SetRetiring(v) => {
-                buf.push(tag::SET_RETIRING);
-                buf.push(*v as u8);
-            }
-            Request::Crash => buf.push(tag::CRASH),
-            Request::Recover => buf.push(tag::RECOVER),
-            Request::Checkpoint => buf.push(tag::CHECKPOINT),
-            Request::Stats => buf.push(tag::STATS),
-            Request::Flags => buf.push(tag::FLAGS),
-            Request::Meta => buf.push(tag::META),
-            Request::MirrorConsistent { probe } => {
-                buf.push(tag::MIRROR);
-                put_u32(buf, probe.len() as u32);
-                for (off, len) in probe {
-                    put_u64(buf, *off);
-                    put_u32(buf, *len);
-                }
-            }
-            Request::Shutdown => buf.push(tag::SHUTDOWN),
-            Request::Traced { trace_id, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Request::Traced { .. }),
-                    "traced envelopes do not nest"
-                );
-                buf.push(tag::TRACED);
-                put_u64(buf, *trace_id);
-                inner.encode_payload(buf);
-            }
-            Request::ObsSnapshot => buf.push(tag::OBS_SNAPSHOT),
-            Request::TraceDump { max, slow } => {
-                buf.push(tag::TRACE_DUMP);
-                put_u32(buf, *max);
-                buf.push(*slow as u8);
-            }
-            Request::EpochMark { epoch, closing } => {
-                buf.push(tag::EPOCH_MARK);
-                put_u64(buf, *epoch);
-                buf.push(*closing as u8);
-            }
-            Request::ReplFetch { from, max } => {
-                buf.push(tag::REPL_FETCH);
-                put_u64(buf, *from);
-                put_u32(buf, *max);
-            }
-            Request::ReplApply { from, frames } => {
-                buf.push(tag::REPL_APPLY);
-                put_u64(buf, *from);
-                put_bytes(buf, frames);
-            }
-            Request::ReplStatus => buf.push(tag::REPL_STATUS),
-            Request::Faults { spec } => {
-                buf.push(tag::FAULTS);
-                put_bytes(buf, spec.as_bytes());
-            }
-        }
-    }
-
-    /// Decodes a request from a frame payload (as returned by
-    /// [`read_frame`]). Write payloads alias the frame buffer.
-    pub fn decode(payload: &Bytes) -> Result<Request, WireError> {
-        let mut c = Cur::new(payload);
-        let req = Self::decode_payload(&mut c, 0)?;
-        c.done()?;
-        Ok(req)
-    }
-
-    fn decode_payload(c: &mut Cur<'_>, depth: u8) -> Result<Request, WireError> {
-        let req = match c.u8()? {
-            tag::HELLO => Request::Hello { version: c.u16()? },
-            tag::EXEC_SINGLE => Request::ExecSingle {
-                txid: c.u64()?,
-                policy: decode_policy(c)?,
-                shard: WireShard::decode(c)?,
-            },
-            tag::EXEC_BATCH => {
-                let n = c.u32()?;
-                let mut items = Vec::new();
-                for _ in 0..n {
-                    items.push(WireBatchItem {
-                        txid: c.u64()?,
-                        policy: decode_policy(c)?,
-                        shard: WireShard::decode(c)?,
-                    });
-                }
-                Request::ExecBatch { items }
-            }
-            tag::PREPARE => {
-                let txid = c.u64()?;
-                let policy = decode_policy(c)?;
-                let n = c.u32()?;
-                let mut participants = Vec::new();
-                for _ in 0..n {
-                    participants.push(c.u16()?);
-                }
-                Request::Prepare {
-                    txid,
-                    policy,
-                    participants,
-                    shard: WireShard::decode(c)?,
-                }
-            }
-            tag::COMMIT => Request::Commit { txid: c.u64()? },
-            tag::ABORT => Request::Abort { txid: c.u64()? },
-            tag::RAW_READ => Request::RawRead {
-                off: c.u64()?,
-                len: c.u32()?,
-            },
-            tag::RAW_WRITE => Request::RawWrite {
-                off: c.u64()?,
-                data: c.bytes()?,
-            },
-            tag::SET_JOINING => Request::SetJoining(c.bool()?),
-            tag::SET_RETIRING => Request::SetRetiring(c.bool()?),
-            tag::CRASH => Request::Crash,
-            tag::RECOVER => Request::Recover,
-            tag::CHECKPOINT => Request::Checkpoint,
-            tag::STATS => Request::Stats,
-            tag::FLAGS => Request::Flags,
-            tag::META => Request::Meta,
-            tag::MIRROR => {
-                let n = c.u32()?;
-                let mut probe = Vec::new();
-                for _ in 0..n {
-                    let off = c.u64()?;
-                    let len = c.u32()?;
-                    probe.push((off, len));
-                }
-                Request::MirrorConsistent { probe }
-            }
-            tag::SHUTDOWN => Request::Shutdown,
-            tag::TRACED => {
-                if depth > 0 {
-                    return Err(WireError::BadValue("nested traced envelope"));
-                }
-                let trace_id = c.u64()?;
-                let inner = Request::decode_payload(c, depth + 1)?;
-                Request::Traced {
-                    trace_id,
-                    inner: Box::new(inner),
-                }
-            }
-            tag::OBS_SNAPSHOT => Request::ObsSnapshot,
-            tag::TRACE_DUMP => Request::TraceDump {
-                max: c.u32()?,
-                slow: c.bool()?,
-            },
-            tag::EPOCH_MARK => Request::EpochMark {
-                epoch: c.u64()?,
-                closing: c.bool()?,
-            },
-            tag::REPL_FETCH => Request::ReplFetch {
-                from: c.u64()?,
-                max: c.u32()?,
-            },
-            tag::REPL_APPLY => Request::ReplApply {
-                from: c.u64()?,
-                frames: c.bytes()?,
-            },
-            tag::REPL_STATUS => Request::ReplStatus,
-            tag::FAULTS => {
-                let b = c.bytes()?;
-                Request::Faults {
-                    spec: String::from_utf8_lossy(&b).into_owned(),
-                }
-            }
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(req)
-    }
+    pub use super::request_tags::*;
+    pub use super::response_tags::*;
 }
 
 // ---------------------------------------------------------------------------
-// Responses
+// Reply flags and envelopes
 // ---------------------------------------------------------------------------
 
-/// Crashed/joining/retiring state of a memnode, fetched in one RPC or —
-/// since protocol v3 — piggybacked as a one-byte trailer on every reply
-/// frame (see [`NodeFlags::to_byte`]).
+/// Crashed/joining/retiring state of a memnode, piggybacked as a one-byte
+/// trailer on every reply frame (see [`NodeFlags::to_byte`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct NodeFlags {
     /// Node is crashed (rejects every data operation).
@@ -1161,7 +1148,7 @@ impl NodeFlags {
     }
 }
 
-/// Splits a v3 reply frame payload into the response body and the
+/// Splits a reply frame payload into the response body and the
 /// piggybacked [`NodeFlags`] trailer byte every reply carries.
 pub fn split_reply_flags(payload: &Bytes) -> Result<(Bytes, NodeFlags), WireError> {
     let n = payload.len();
@@ -1170,149 +1157,6 @@ pub fn split_reply_flags(payload: &Bytes) -> Result<(Bytes, NodeFlags), WireErro
     }
     let flags = NodeFlags::from_byte(payload[n - 1])?;
     Ok((payload.slice(0, n - 1), flags))
-}
-
-/// A server→client message. `Unavailable` mirrors the in-process
-/// [`crate::memnode::Unavailable`] error; `Error` carries anything else
-/// (bounds violations, I/O failures) as text.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Response {
-    /// Handshake reply.
-    Hello {
-        /// Server's protocol version.
-        version: u16,
-        /// Server's memnode id.
-        node: u16,
-        /// Server's address-space capacity in bytes.
-        capacity: u64,
-    },
-    /// One-phase execution result.
-    Single(SingleResult),
-    /// Per-member batch results (`Err` members hit a crashed node).
-    Batch(Vec<Result<SingleResult, u16>>),
-    /// Prepare vote.
-    Vote(Vote),
-    /// Success with no payload.
-    Unit,
-    /// Raw read payload.
-    Data(Bytes),
-    /// Boolean result (checkpoint taken, mirror consistent).
-    Bool(bool),
-    /// Operation / durability counters.
-    Stats(NodeStats),
-    /// Node state flags.
-    Flags(NodeFlags),
-    /// Recovery metadata.
-    Meta(NodeMeta),
-    /// The memnode is crashed; carries its id.
-    Unavailable(u16),
-    /// Any other server-side failure, as text.
-    Error(String),
-    /// Reply to a [`Request::Traced`] envelope: the server-side spans
-    /// recorded while serving the inner request, plus the inner reply.
-    /// Envelopes do not nest.
-    TracedReply {
-        /// Spans recorded on the server (start offsets server-relative).
-        spans: Vec<SpanRecord>,
-        /// The inner request's reply.
-        inner: Box<Response>,
-    },
-    /// An encoded [`minuet_obs::ObsSnapshot`], shipped opaquely.
-    Obs(Bytes),
-    /// Encoded traces ([`minuet_obs::Trace::encode_many`]), shipped
-    /// opaquely.
-    Traces(Bytes),
-    /// Reply to [`Request::EpochMark`]: the register's previous value.
-    Epoch(u64),
-    /// Reply to [`Request::ReplFetch`]: a raw WAL segment.
-    Frames {
-        /// Logical offset the segment starts at (echoes the request).
-        from: u64,
-        /// The server WAL's base offset (start of retained log). When
-        /// `base > from` the requested prefix has been checkpointed away.
-        base: u64,
-        /// The server WAL's logical tail at fetch time.
-        tail: u64,
-        /// Raw CRC-framed WAL bytes (whole frames; may be empty).
-        bytes: Bytes,
-    },
-    /// Reply to [`Request::ReplApply`] / [`Request::ReplStatus`].
-    ReplStatus {
-        /// Largest source-WAL offset durably incorporated.
-        watermark: u64,
-        /// Largest txid applied through replication.
-        applied_txid: u64,
-        /// The follower's own WAL tail.
-        tail: u64,
-        /// Total frames applied.
-        applies: u64,
-        /// Frames skipped as already-applied duplicates.
-        dup_skips: u64,
-    },
-    /// Reply to [`Request::Faults`]: the number of failpoints armed after
-    /// the spec was applied (0 after `"clear"`).
-    Faults {
-        /// Armed failpoint count.
-        armed: u32,
-    },
-}
-
-fn encode_pairs(buf: &mut Vec<u8>, pairs: &[(usize, Bytes)]) {
-    put_u32(buf, pairs.len() as u32);
-    for (idx, data) in pairs {
-        put_u32(buf, *idx as u32);
-        put_bytes(buf, data);
-    }
-}
-
-fn decode_pairs(c: &mut Cur<'_>) -> Result<Vec<(usize, Bytes)>, WireError> {
-    let n = c.u32()?;
-    let mut pairs = Vec::new();
-    for _ in 0..n {
-        let idx = c.u32()? as usize;
-        let data = c.bytes()?;
-        pairs.push((idx, data));
-    }
-    Ok(pairs)
-}
-
-fn encode_indices(buf: &mut Vec<u8>, idx: &[usize]) {
-    put_u32(buf, idx.len() as u32);
-    for i in idx {
-        put_u32(buf, *i as u32);
-    }
-}
-
-fn decode_indices(c: &mut Cur<'_>) -> Result<Vec<usize>, WireError> {
-    let n = c.u32()?;
-    let mut idx = Vec::new();
-    for _ in 0..n {
-        idx.push(c.u32()? as usize);
-    }
-    Ok(idx)
-}
-
-fn encode_single(buf: &mut Vec<u8>, r: &SingleResult) {
-    match r {
-        SingleResult::Committed(pairs) => {
-            buf.push(0);
-            encode_pairs(buf, pairs);
-        }
-        SingleResult::BadCompare(idx) => {
-            buf.push(1);
-            encode_indices(buf, idx);
-        }
-        SingleResult::Busy => buf.push(2),
-    }
-}
-
-fn decode_single(c: &mut Cur<'_>) -> Result<SingleResult, WireError> {
-    match c.u8()? {
-        0 => Ok(SingleResult::Committed(decode_pairs(c)?)),
-        1 => Ok(SingleResult::BadCompare(decode_indices(c)?)),
-        2 => Ok(SingleResult::Busy),
-        _ => Err(WireError::BadValue("single result kind")),
-    }
 }
 
 /// Encodes `inner` wrapped in a [`Request::Traced`] envelope as a sealed
@@ -1325,7 +1169,7 @@ pub fn encode_traced_request(trace_id: u64, inner: &Request) -> Vec<u8> {
     );
     seal(|buf| {
         buf.push(tag::TRACED);
-        put_u64(buf, trace_id);
+        trace_id.put(buf);
         inner.encode_payload(buf);
     })
 }
@@ -1341,20 +1185,17 @@ pub fn encode_response_payload(resp: &Response) -> Vec<u8> {
 
 /// Seals a complete [`Response::TracedReply`] frame from server-side spans
 /// plus an inner payload already produced by [`encode_response_payload`],
-/// ending with the v3 [`NodeFlags`] trailer byte.
+/// ending with the [`NodeFlags`] trailer byte.
 pub fn seal_traced_reply(spans: &[SpanRecord], inner_payload: &[u8], flags: NodeFlags) -> Vec<u8> {
     seal(|buf| {
         buf.push(tag::R_TRACED);
-        put_u32(buf, spans.len() as u32);
-        for s in spans {
-            s.encode_into(buf);
-        }
+        put_seq(buf, spans);
         buf.extend_from_slice(inner_payload);
         buf.push(flags.to_byte());
     })
 }
 
-/// Seals a complete reply frame: the encoded response followed by the v3
+/// Seals a complete reply frame: the encoded response followed by the
 /// [`NodeFlags`] trailer byte. This is what the server writes for every
 /// untraced request (traced ones go through [`seal_traced_reply`]).
 pub fn seal_reply(resp: &Response, flags: NodeFlags) -> Vec<u8> {
@@ -1364,319 +1205,10 @@ pub fn seal_reply(resp: &Response, flags: NodeFlags) -> Vec<u8> {
     })
 }
 
-impl Response {
-    /// Encodes the response as a complete sealed frame.
-    pub fn encode(&self) -> Vec<u8> {
-        seal(|buf| self.encode_payload(buf))
-    }
-
-    fn encode_payload(&self, buf: &mut Vec<u8>) {
-        match self {
-            Response::Hello {
-                version,
-                node,
-                capacity,
-            } => {
-                buf.push(tag::R_HELLO);
-                put_u16(buf, *version);
-                put_u16(buf, *node);
-                put_u64(buf, *capacity);
-            }
-            Response::Single(r) => {
-                buf.push(tag::R_SINGLE);
-                encode_single(buf, r);
-            }
-            Response::Batch(members) => {
-                buf.push(tag::R_BATCH);
-                put_u32(buf, members.len() as u32);
-                for m in members {
-                    match m {
-                        Ok(r) => {
-                            buf.push(0);
-                            encode_single(buf, r);
-                        }
-                        Err(id) => {
-                            buf.push(1);
-                            put_u16(buf, *id);
-                        }
-                    }
-                }
-            }
-            Response::Vote(v) => {
-                buf.push(tag::R_VOTE);
-                match v {
-                    Vote::Ok(pairs) => {
-                        buf.push(0);
-                        encode_pairs(buf, pairs);
-                    }
-                    Vote::BadCompare(idx) => {
-                        buf.push(1);
-                        encode_indices(buf, idx);
-                    }
-                    Vote::Busy => buf.push(2),
-                }
-            }
-            Response::Unit => buf.push(tag::R_UNIT),
-            Response::Data(b) => {
-                buf.push(tag::R_DATA);
-                put_bytes(buf, b);
-            }
-            Response::Bool(v) => {
-                buf.push(tag::R_BOOL);
-                buf.push(*v as u8);
-            }
-            Response::Stats(s) => {
-                buf.push(tag::R_STATS);
-                for v in [
-                    s.single_commits,
-                    s.prepares,
-                    s.commits,
-                    s.aborts,
-                    s.busy,
-                    s.read_fastpath,
-                    s.read_fastpath_misses,
-                    s.write_fastpath,
-                    s.write_fastpath_misses,
-                    s.in_doubt,
-                    s.wal_appends,
-                    s.wal_bytes,
-                    s.wal_fsyncs,
-                    s.checkpoints,
-                    s.wal_retained_bytes,
-                ] {
-                    put_u64(buf, v);
-                }
-                buf.push(s.durable as u8);
-            }
-            Response::Flags(f) => {
-                buf.push(tag::R_FLAGS);
-                buf.push(f.crashed as u8);
-                buf.push(f.joining as u8);
-                buf.push(f.retiring as u8);
-            }
-            Response::Meta(m) => {
-                buf.push(tag::R_META);
-                put_u32(buf, m.staged.len() as u32);
-                // Deterministic order (HashMap iteration is not).
-                let mut staged: Vec<_> = m.staged.iter().collect();
-                staged.sort_by_key(|(txid, _)| **txid);
-                for (txid, parts) in staged {
-                    put_u64(buf, *txid);
-                    put_u32(buf, parts.len() as u32);
-                    for p in parts {
-                        put_u16(buf, p.0);
-                    }
-                }
-                let mut decided: Vec<_> = m.decided.iter().copied().collect();
-                decided.sort_unstable();
-                put_u32(buf, decided.len() as u32);
-                for txid in decided {
-                    put_u64(buf, txid);
-                }
-            }
-            Response::Unavailable(id) => {
-                buf.push(tag::R_UNAVAILABLE);
-                put_u16(buf, *id);
-            }
-            Response::Error(msg) => {
-                buf.push(tag::R_ERROR);
-                put_bytes(buf, msg.as_bytes());
-            }
-            Response::TracedReply { spans, inner } => {
-                debug_assert!(
-                    !matches!(**inner, Response::TracedReply { .. }),
-                    "traced replies do not nest"
-                );
-                buf.push(tag::R_TRACED);
-                put_u32(buf, spans.len() as u32);
-                for s in spans {
-                    s.encode_into(buf);
-                }
-                inner.encode_payload(buf);
-            }
-            Response::Obs(b) => {
-                buf.push(tag::R_OBS);
-                put_bytes(buf, b);
-            }
-            Response::Traces(b) => {
-                buf.push(tag::R_TRACES);
-                put_bytes(buf, b);
-            }
-            Response::Epoch(prev) => {
-                buf.push(tag::R_EPOCH);
-                put_u64(buf, *prev);
-            }
-            Response::Frames {
-                from,
-                base,
-                tail,
-                bytes,
-            } => {
-                buf.push(tag::R_FRAMES);
-                put_u64(buf, *from);
-                put_u64(buf, *base);
-                put_u64(buf, *tail);
-                put_bytes(buf, bytes);
-            }
-            Response::ReplStatus {
-                watermark,
-                applied_txid,
-                tail,
-                applies,
-                dup_skips,
-            } => {
-                buf.push(tag::R_REPL_STATUS);
-                for v in [watermark, applied_txid, tail, applies, dup_skips] {
-                    put_u64(buf, *v);
-                }
-            }
-            Response::Faults { armed } => {
-                buf.push(tag::R_FAULTS);
-                put_u32(buf, *armed);
-            }
-        }
-    }
-
-    /// Decodes a response from a frame payload. Data payloads alias the
-    /// frame buffer.
-    pub fn decode(payload: &Bytes) -> Result<Response, WireError> {
-        let mut c = Cur::new(payload);
-        let resp = Self::decode_payload(&mut c, 0)?;
-        c.done()?;
-        Ok(resp)
-    }
-
-    fn decode_payload(c: &mut Cur<'_>, depth: u8) -> Result<Response, WireError> {
-        let resp = match c.u8()? {
-            tag::R_HELLO => Response::Hello {
-                version: c.u16()?,
-                node: c.u16()?,
-                capacity: c.u64()?,
-            },
-            tag::R_SINGLE => Response::Single(decode_single(c)?),
-            tag::R_BATCH => {
-                let n = c.u32()?;
-                let mut members = Vec::new();
-                for _ in 0..n {
-                    members.push(match c.u8()? {
-                        0 => Ok(decode_single(c)?),
-                        1 => Err(c.u16()?),
-                        _ => return Err(WireError::BadValue("batch member kind")),
-                    });
-                }
-                Response::Batch(members)
-            }
-            tag::R_VOTE => Response::Vote(match c.u8()? {
-                0 => Vote::Ok(decode_pairs(c)?),
-                1 => Vote::BadCompare(decode_indices(c)?),
-                2 => Vote::Busy,
-                _ => return Err(WireError::BadValue("vote kind")),
-            }),
-            tag::R_UNIT => Response::Unit,
-            tag::R_DATA => Response::Data(c.bytes()?),
-            tag::R_BOOL => Response::Bool(c.bool()?),
-            tag::R_STATS => {
-                let mut v = [0u64; 15];
-                for slot in v.iter_mut() {
-                    *slot = c.u64()?;
-                }
-                Response::Stats(NodeStats {
-                    single_commits: v[0],
-                    prepares: v[1],
-                    commits: v[2],
-                    aborts: v[3],
-                    busy: v[4],
-                    read_fastpath: v[5],
-                    read_fastpath_misses: v[6],
-                    write_fastpath: v[7],
-                    write_fastpath_misses: v[8],
-                    in_doubt: v[9],
-                    wal_appends: v[10],
-                    wal_bytes: v[11],
-                    wal_fsyncs: v[12],
-                    checkpoints: v[13],
-                    wal_retained_bytes: v[14],
-                    durable: c.bool()?,
-                })
-            }
-            tag::R_FLAGS => Response::Flags(NodeFlags {
-                crashed: c.bool()?,
-                joining: c.bool()?,
-                retiring: c.bool()?,
-            }),
-            tag::R_META => {
-                let n = c.u32()?;
-                let mut staged = HashMap::new();
-                for _ in 0..n {
-                    let txid = c.u64()?;
-                    let np = c.u32()?;
-                    let mut parts = Vec::new();
-                    for _ in 0..np {
-                        parts.push(crate::addr::MemNodeId(c.u16()?));
-                    }
-                    staged.insert(txid, parts);
-                }
-                let nd = c.u32()?;
-                let mut decided = HashSet::new();
-                for _ in 0..nd {
-                    decided.insert(c.u64()?);
-                }
-                Response::Meta(NodeMeta { staged, decided })
-            }
-            tag::R_UNAVAILABLE => Response::Unavailable(c.u16()?),
-            tag::R_ERROR => {
-                let b = c.bytes()?;
-                Response::Error(String::from_utf8_lossy(&b).into_owned())
-            }
-            tag::R_TRACED => {
-                if depth > 0 {
-                    return Err(WireError::BadValue("nested traced reply"));
-                }
-                let n = c.u32()?;
-                if n > minuet_obs::trace::MAX_TRACE_SPANS as u32 {
-                    return Err(WireError::BadValue("span count"));
-                }
-                let mut spans = Vec::with_capacity(n as usize);
-                for _ in 0..n {
-                    let raw = c.take(19)?;
-                    let mut pos = 0;
-                    spans.push(
-                        SpanRecord::decode_from(raw, &mut pos)
-                            .ok_or(WireError::BadValue("span record"))?,
-                    );
-                }
-                let inner = Response::decode_payload(c, depth + 1)?;
-                Response::TracedReply {
-                    spans,
-                    inner: Box::new(inner),
-                }
-            }
-            tag::R_OBS => Response::Obs(c.bytes()?),
-            tag::R_TRACES => Response::Traces(c.bytes()?),
-            tag::R_EPOCH => Response::Epoch(c.u64()?),
-            tag::R_FRAMES => Response::Frames {
-                from: c.u64()?,
-                base: c.u64()?,
-                tail: c.u64()?,
-                bytes: c.bytes()?,
-            },
-            tag::R_REPL_STATUS => Response::ReplStatus {
-                watermark: c.u64()?,
-                applied_txid: c.u64()?,
-                tail: c.u64()?,
-                applies: c.u64()?,
-                dup_skips: c.u64()?,
-            },
-            tag::R_FAULTS => Response::Faults { armed: c.u32()? },
-            t => return Err(WireError::BadTag(t)),
-        };
-        Ok(resp)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::HashMap;
     use std::io::Cursor;
 
     fn roundtrip_req(req: Request) {
@@ -1810,13 +1342,13 @@ mod tests {
 
     #[test]
     fn nested_trace_envelopes_rejected() {
-        // Hand-build a Traced(Traced(Stats)) payload: 0x13 id 0x13 id 0x0E.
+        // Hand-build a Traced(Traced(Meta)) payload: 0x13 id 0x13 id 0x10.
         let frame = seal(|buf| {
             buf.push(tag::TRACED);
-            put_u64(buf, 1);
+            1u64.put(buf);
             buf.push(tag::TRACED);
-            put_u64(buf, 2);
-            buf.push(tag::STATS);
+            2u64.put(buf);
+            buf.push(tag::META);
         });
         let (payload, _) = decode_frame(&frame).unwrap();
         assert_eq!(
@@ -1825,9 +1357,9 @@ mod tests {
         );
         let rframe = seal(|buf| {
             buf.push(tag::R_TRACED);
-            put_u32(buf, 0);
+            0u32.put(buf);
             buf.push(tag::R_TRACED);
-            put_u32(buf, 0);
+            0u32.put(buf);
             buf.push(tag::R_UNIT);
         });
         let (rpayload, _) = decode_frame(&rframe).unwrap();
@@ -2012,6 +1544,277 @@ mod tests {
         }
         assert!(NodeFlags::from_byte(0x08).is_err());
         assert!(split_reply_flags(&Bytes::from(vec![])).is_err());
+    }
+
+    /// One sealed frame per request and response variant, with every
+    /// sub-enum arm (lock policy, single result, vote, batch member).
+    fn golden_cases() -> Vec<(&'static str, Vec<u8>)> {
+        let shard = WireShard {
+            compares: vec![(0, 8, Bytes::from(vec![1, 2]))],
+            reads: vec![(1, 16, 4)],
+            writes: vec![(2, 24, Bytes::from(vec![9; 3]))],
+        };
+        let pairs = vec![(1, Bytes::from(vec![5, 6]))];
+        let mut staged = HashMap::new();
+        staged.insert(
+            11,
+            vec![crate::addr::MemNodeId(0), crate::addr::MemNodeId(1)],
+        );
+        let meta = NodeMeta {
+            staged,
+            decided: [12].into_iter().collect(),
+        };
+        let span = SpanRecord {
+            kind: 11,
+            tag: 2,
+            depth: 1,
+            start_ns: 123,
+            dur_ns: 456,
+        };
+        let f = NodeFlags {
+            crashed: false,
+            joining: true,
+            retiring: false,
+        };
+        let req = |r: Request| r.encode();
+        let resp = |r: Response| seal_reply(&r, f);
+        vec![
+            ("hello", req(Request::Hello { version: 4 })),
+            (
+                "exec_single",
+                req(Request::ExecSingle {
+                    txid: 42,
+                    policy: LockPolicy::AbortOnBusy,
+                    shard: shard.clone(),
+                }),
+            ),
+            (
+                "exec_batch",
+                req(Request::ExecBatch {
+                    items: vec![WireBatchItem {
+                        txid: 43,
+                        policy: LockPolicy::Block(Duration::from_micros(3)),
+                        shard: shard.clone(),
+                    }],
+                }),
+            ),
+            (
+                "prepare",
+                req(Request::Prepare {
+                    txid: 44,
+                    policy: LockPolicy::AbortOnBusy,
+                    participants: vec![0, 3],
+                    shard,
+                }),
+            ),
+            ("commit", req(Request::Commit { txid: 45 })),
+            ("abort", req(Request::Abort { txid: 46 })),
+            ("raw_read", req(Request::RawRead { off: 64, len: 32 })),
+            (
+                "raw_write",
+                req(Request::RawWrite {
+                    off: 64,
+                    data: Bytes::from(vec![7, 8]),
+                }),
+            ),
+            ("set_joining", req(Request::SetJoining(true))),
+            ("set_retiring", req(Request::SetRetiring(false))),
+            ("crash", req(Request::Crash)),
+            ("recover", req(Request::Recover)),
+            ("checkpoint", req(Request::Checkpoint)),
+            ("meta", req(Request::Meta)),
+            (
+                "mirror",
+                req(Request::MirrorConsistent {
+                    probe: vec![(0, 64), (128, 32)],
+                }),
+            ),
+            ("shutdown", req(Request::Shutdown)),
+            (
+                "traced",
+                req(Request::Traced {
+                    trace_id: 0xBEEF,
+                    inner: Box::new(Request::Commit { txid: 47 }),
+                }),
+            ),
+            (
+                "traced_fn",
+                encode_traced_request(0xBEEF, &Request::Commit { txid: 47 }),
+            ),
+            ("obs_snapshot", req(Request::ObsSnapshot)),
+            (
+                "trace_dump",
+                req(Request::TraceDump {
+                    max: 32,
+                    slow: true,
+                }),
+            ),
+            (
+                "epoch_mark",
+                req(Request::EpochMark {
+                    epoch: 9,
+                    closing: true,
+                }),
+            ),
+            (
+                "repl_fetch",
+                req(Request::ReplFetch {
+                    from: 4096,
+                    max: 512,
+                }),
+            ),
+            (
+                "repl_apply",
+                req(Request::ReplApply {
+                    from: 128,
+                    frames: Bytes::from(vec![3; 2]),
+                }),
+            ),
+            ("repl_status", req(Request::ReplStatus)),
+            (
+                "faults",
+                req(Request::Faults {
+                    spec: "clear".into(),
+                }),
+            ),
+            (
+                "r_hello",
+                resp(Response::Hello {
+                    version: 4,
+                    node: 3,
+                    capacity: 1 << 20,
+                }),
+            ),
+            (
+                "r_single_committed",
+                resp(Response::Single(SingleResult::Committed(pairs.clone()))),
+            ),
+            (
+                "r_single_bad_compare",
+                resp(Response::Single(SingleResult::BadCompare(vec![0, 2]))),
+            ),
+            ("r_single_busy", resp(Response::Single(SingleResult::Busy))),
+            (
+                "r_batch",
+                resp(Response::Batch(vec![
+                    Ok(SingleResult::Committed(pairs.clone())),
+                    Err(4),
+                ])),
+            ),
+            ("r_vote_ok", resp(Response::Vote(Vote::Ok(pairs)))),
+            (
+                "r_vote_bad_compare",
+                resp(Response::Vote(Vote::BadCompare(vec![1]))),
+            ),
+            ("r_vote_busy", resp(Response::Vote(Vote::Busy))),
+            ("r_unit", resp(Response::Unit)),
+            ("r_data", resp(Response::Data(Bytes::from(vec![1, 2, 3])))),
+            ("r_bool", resp(Response::Bool(true))),
+            ("r_meta", resp(Response::Meta(meta))),
+            ("r_unavailable", resp(Response::Unavailable(2))),
+            ("r_error", resp(Response::Error("nope".into()))),
+            (
+                "r_traced",
+                resp(Response::TracedReply {
+                    spans: vec![span],
+                    inner: Box::new(Response::Unit),
+                }),
+            ),
+            (
+                "r_traced_fn",
+                seal_traced_reply(&[span], &encode_response_payload(&Response::Unit), f),
+            ),
+            ("r_obs", resp(Response::Obs(Bytes::from(vec![4, 5])))),
+            ("r_traces", resp(Response::Traces(Bytes::from(vec![6])))),
+            ("r_epoch", resp(Response::Epoch(41))),
+            (
+                "r_frames",
+                resp(Response::Frames {
+                    from: 64,
+                    base: 0,
+                    tail: 1024,
+                    bytes: Bytes::from(vec![5; 2]),
+                }),
+            ),
+            (
+                "r_repl_status",
+                resp(Response::ReplStatus {
+                    watermark: 7,
+                    applied_txid: 9,
+                    tail: 11,
+                    applies: 13,
+                    dup_skips: 2,
+                }),
+            ),
+            ("r_faults", resp(Response::Faults { armed: 2 })),
+        ]
+    }
+
+    /// Hex-pinned frames (header, CRC, payload and, for replies, the
+    /// flags trailer) of every message: a codec change that moves a byte
+    /// fails here.
+    const GOLDEN: &[(&str, &str)] = &[
+        ("hello", "030000002176ef9a010400"),
+        ("exec_single", "4b0000002a6eb7a4022a00000000000000000100000000000000080000000000000002000000010201000000010000001000000000000000040000000100000002000000180000000000000003000000090909"),
+        ("exec_batch", "57000000f81e860f03010000002b0000000000000001b80b0000000000000100000000000000080000000000000002000000010201000000010000001000000000000000040000000100000002000000180000000000000003000000090909"),
+        ("prepare", "530000000310b39f042c000000000000000002000000000003000100000000000000080000000000000002000000010201000000010000001000000000000000040000000100000002000000180000000000000003000000090909"),
+        ("commit", "090000006626edce052d00000000000000"),
+        ("abort", "09000000401def79062e00000000000000"),
+        ("raw_read", "0d000000145856e207400000000000000020000000"),
+        ("raw_write", "0f0000006f87b155084000000000000000020000000708"),
+        ("set_joining", "0200000020991ce70901"),
+        ("set_retiring", "0200000075fa36bb0a00"),
+        ("crash", "010000000536d0450b"),
+        ("recover", "01000000a6a3b4db0c"),
+        ("checkpoint", "010000003093b3ac0d"),
+        ("meta", "01000000e9ffb5cf10"),
+        ("mirror", "1d000000195d7b031102000000000000000000000040000000800000000000000020000000"),
+        ("shutdown", "01000000c59ebb2112"),
+        ("traced", "120000000d8a734b13efbe000000000000052f00000000000000"),
+        ("traced_fn", "120000000d8a734b13efbe000000000000052f00000000000000"),
+        ("obs_snapshot", "01000000f03bd8c814"),
+        ("trace_dump", "06000000192d1f54152000000001"),
+        ("epoch_mark", "0a000000141f9e1216090000000000000001"),
+        ("repl_fetch", "0d000000a5f6726b17001000000000000000020000"),
+        ("repl_apply", "0f000000bf1ca720188000000000000000020000000303"),
+        ("repl_status", "010000004d4769b619"),
+        ("faults", "0a000000033a02ba1a05000000636c656172"),
+        ("r_hello", "0e00000026864c1f8104000300000010000000000002"),
+        ("r_single_committed", "11000000d2bb2af68200010000000100000002000000050602"),
+        ("r_single_bad_compare", "0f000000bc244f58820102000000000000000200000002"),
+        ("r_single_busy", "030000005215c8c1820202"),
+        ("r_batch", "190000004c08ad5083020000000000010000000100000002000000050601040002"),
+        ("r_vote_ok", "11000000da0c1e518400010000000100000002000000050602"),
+        ("r_vote_bad_compare", "0b00000010c068878401010000000100000002"),
+        ("r_vote_busy", "03000000e06945c5840202"),
+        ("r_unit", "02000000dd1f23e98502"),
+        ("r_data", "090000006cebd203860300000001020302"),
+        ("r_bool", "030000007a842eec870102"),
+        ("r_meta", "22000000fb2562b48a010000000b000000000000000200000000000100010000000c0000000000000002"),
+        ("r_unavailable", "04000000645b96f68b020002"),
+        ("r_error", "0a00000012686da58c040000006e6f706502"),
+        ("r_traced", "1a0000009d3694638d010000000b02017b00000000000000c8010000000000008502"),
+        ("r_traced_fn", "1a0000009d3694638d010000000b02017b00000000000000c8010000000000008502"),
+        ("r_obs", "080000001d647c208e02000000040502"),
+        ("r_traces", "070000006a503a908f010000000602"),
+        ("r_epoch", "0a0000004bb57de290290000000000000002"),
+        ("r_frames", "20000000d4b8db0b9140000000000000000000000000000000000400000000000002000000050502"),
+        ("r_repl_status", "2a000000aa22aa9392070000000000000009000000000000000b000000000000000d00000000000000020000000000000002"),
+        ("r_faults", "0600000002f7febe930200000002"),
+    ];
+
+    #[test]
+    fn golden_frames_are_pinned() {
+        let hex = |b: &[u8]| b.iter().map(|x| format!("{x:02x}")).collect::<String>();
+        let got: Vec<(&str, String)> = golden_cases()
+            .into_iter()
+            .map(|(n, f)| (n, hex(&f)))
+            .collect();
+        assert_eq!(got.len(), GOLDEN.len(), "one golden frame per case");
+        for ((name, h), (gname, gh)) in got.iter().zip(GOLDEN) {
+            assert_eq!(name, gname);
+            assert_eq!(h, gh, "frame of {name} moved");
+        }
     }
 
     #[test]

@@ -8,13 +8,19 @@ use minuet_sinfonia::{
     SyncMode,
 };
 use proptest::prelude::*;
+use std::time::Duration;
 
 /// Commits `ntx` minitransactions, each writing slot `i` := `i + 1`, then
 /// returns the cluster config and wal file path.
 fn build_log(ntx: u64) -> (ClusterConfig, std::path::PathBuf, std::path::PathBuf) {
     let durability = DurabilityConfig {
         checkpoint_log_bytes: 0,
-        ..DurabilityConfig::ephemeral("prop-wal", SyncMode::Sync)
+        ..DurabilityConfig::ephemeral(
+            "prop-wal",
+            SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            },
+        )
     };
     let dir = durability.dir.clone().unwrap();
     let cfg = ClusterConfig {

@@ -3,7 +3,7 @@
 
 use minuet_sinfonia::{
     ClusterConfig, DurabilityConfig, ItemRange, LockPolicy, MemNodeId, Minitransaction,
-    SinfoniaCluster, SyncMode,
+    SinfoniaCluster, SyncMode, Unavailable,
 };
 use std::path::PathBuf;
 use std::sync::Arc;
@@ -54,7 +54,13 @@ fn prepare_at(c: &SinfoniaCluster, txid: u64, m: &Minitransaction, at: &[u16]) -
 
 #[test]
 fn restart_preserves_committed_minitransactions() {
-    let (c, cfg, dir) = dur_cluster("restart-basic", 2, SyncMode::Sync);
+    let (c, cfg, dir) = dur_cluster(
+        "restart-basic",
+        2,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     // One-phase commits on each node, plus cross-node two-phase commits.
     for i in 0..50u64 {
         let mut m = Minitransaction::new();
@@ -67,7 +73,7 @@ fn restart_preserves_committed_minitransactions() {
     for i in 0..20u64 {
         write_both(&c, i, (i + 1) as u8);
     }
-    let fsyncs = c.durability_stats().fsyncs;
+    let fsyncs = c.counter_total("wal.fsyncs");
     assert!(
         fsyncs >= 70,
         "sync mode must fsync per commit, got {fsyncs}"
@@ -117,7 +123,7 @@ fn in_doubt_all_yes_commits_on_restart_group_commit() {
     m.write(ItemRange::new(MemNodeId(1), 0, 4), vec![5, 6, 7, 8]);
     let txid = c.next_txid();
     prepare_at(&c, txid, &m, &[0, 1]);
-    assert_eq!(c.node(MemNodeId(0)).in_doubt(), 1);
+    assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(1));
     drop(c); // coordinator and cluster die before any decision
 
     let (c2, res) = SinfoniaCluster::restart_from_disk(cfg).unwrap();
@@ -131,8 +137,8 @@ fn in_doubt_all_yes_commits_on_restart_group_commit() {
         c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(),
         vec![5, 6, 7, 8]
     );
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
-    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
+    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), Ok(0));
     // Locks were released by the resolution: the range is writable again.
     write_both(&c2, 0, 9);
     drop(c2);
@@ -163,7 +169,7 @@ fn in_doubt_partial_prepare_aborts_on_restart() {
     assert_eq!(res.aborted, 1);
     assert_eq!(c2.node(MemNodeId(0)).raw_read(0, 4).unwrap(), vec![0; 4]);
     assert_eq!(c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(), vec![0; 4]);
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
     write_both(&c2, 0, 3); // locks free again
     drop(c2);
     let _ = std::fs::remove_dir_all(dir);
@@ -174,7 +180,13 @@ fn in_doubt_partial_prepare_aborts_on_restart() {
 /// the other is still in doubt — restart must still commit the straggler.
 #[test]
 fn decided_commit_survives_checkpoint_for_resolution() {
-    let (c, cfg, dir) = dur_cluster("indoubt-ckpt", 2, SyncMode::Sync);
+    let (c, cfg, dir) = dur_cluster(
+        "indoubt-ckpt",
+        2,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     let mut m = Minitransaction::new();
     m.write(ItemRange::new(MemNodeId(0), 8, 2), vec![11, 12]);
     m.write(ItemRange::new(MemNodeId(1), 8, 2), vec![13, 14]);
@@ -183,7 +195,7 @@ fn decided_commit_survives_checkpoint_for_resolution() {
     // Phase two reached memnode 0 only, which then checkpointed.
     c.node(MemNodeId(0)).commit(txid).unwrap();
     assert!(c.node(MemNodeId(0)).checkpoint().unwrap());
-    assert_eq!(c.node(MemNodeId(1)).in_doubt(), 1);
+    assert_eq!(c.node(MemNodeId(1)).in_doubt(), Ok(1));
     drop(c);
 
     let (c2, res) = SinfoniaCluster::restart_from_disk(cfg).unwrap();
@@ -191,6 +203,48 @@ fn decided_commit_survives_checkpoint_for_resolution() {
     assert_eq!(c2.node(MemNodeId(0)).raw_read(8, 2).unwrap(), vec![11, 12]);
     assert_eq!(c2.node(MemNodeId(1)).raw_read(8, 2).unwrap(), vec![13, 14]);
     drop(c2);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A participant that crashed after committing holds the only record of
+/// the decision: resolution must wait for it rather than read its silence
+/// as a "no" vote and abort the survivor.
+#[test]
+fn resolution_waits_for_a_crashed_participant() {
+    let (c, _cfg, dir) = dur_cluster(
+        "indoubt-crashed",
+        2,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
+    let mut m = Minitransaction::new();
+    m.write(ItemRange::new(MemNodeId(0), 0, 4), vec![1, 2, 3, 4]);
+    m.write(ItemRange::new(MemNodeId(1), 0, 4), vec![5, 6, 7, 8]);
+    let txid = c.next_txid();
+    prepare_at(&c, txid, &m, &[0, 1]);
+    c.node(MemNodeId(1)).commit(txid).unwrap();
+    c.crash(MemNodeId(1));
+
+    assert_eq!(
+        c.node(MemNodeId(1)).in_doubt(),
+        Err(Unavailable(MemNodeId(1)))
+    );
+    assert_eq!(c.resolve_in_doubt(), Err(Unavailable(MemNodeId(1))));
+    assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(1), "survivor changed");
+
+    c.recover(MemNodeId(1));
+    let res = c.resolve_in_doubt().unwrap();
+    assert_eq!((res.committed, res.aborted), (1, 0));
+    assert_eq!(
+        c.node(MemNodeId(0)).raw_read(0, 4).unwrap(),
+        vec![1, 2, 3, 4]
+    );
+    assert_eq!(
+        c.node(MemNodeId(1)).raw_read(0, 4).unwrap(),
+        vec![5, 6, 7, 8]
+    );
+    drop(c);
     let _ = std::fs::remove_dir_all(dir);
 }
 
@@ -222,13 +276,17 @@ fn background_checkpoints_bound_log_and_restart_recovers() {
         // Give the background checkpointer a chance to run.
         std::thread::sleep(Duration::from_millis(2));
     }
-    let stats = c.durability_stats();
-    assert!(stats.checkpoints > 0, "no background checkpoint ran");
     assert!(
-        stats.retained_bytes < stats.bytes,
-        "log was never truncated: retained {} of {} appended",
-        stats.retained_bytes,
-        stats.bytes
+        c.counter_total("memnode.checkpoints") > 0,
+        "no background checkpoint ran"
+    );
+    let (retained, bytes) = (
+        c.counter_total("wal.retained_bytes"),
+        c.counter_total("wal.bytes"),
+    );
+    assert!(
+        retained < bytes,
+        "log was never truncated: retained {retained} of {bytes} appended"
     );
     drop(c);
 

@@ -54,7 +54,12 @@ fn main() {
         });
     println!("chaos_smoke seed {seed} (replay: MINUET_CHAOS_SEED={seed})");
 
-    let durability = DurabilityConfig::ephemeral(&format!("chaos-smoke-{seed:x}"), SyncMode::Sync);
+    let durability = DurabilityConfig::ephemeral(
+        &format!("chaos-smoke-{seed:x}"),
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     let dir = durability.dir.clone().expect("ephemeral dir");
     let tree_cfg = TreeConfig::small_nodes(8);
     let sin = ClusterConfig {

@@ -365,7 +365,9 @@ fn chaos_run(seed: u64, opts: ChaosOpts) {
         n_mems,
         1,
         TreeConfig::small_nodes(8),
-        SyncMode::Sync,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
     );
 
     // Preload every key (seq 1) before the storm so the tree has shape.

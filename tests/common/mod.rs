@@ -167,7 +167,7 @@ impl DurableHarness {
         for i in 0..self.n_mems {
             let id = MemNodeId(i as u16);
             let node = if reopen {
-                let (node, _, _) = MemNode::open_from_disk(id, self.capacity(), &self.dcfg())
+                let (node, _) = MemNode::open_from_disk(id, self.capacity(), &self.dcfg())
                     .expect("reopen durable memnode");
                 node
             } else {
@@ -202,7 +202,9 @@ impl DurableHarness {
                 .with_wire_transport(endpoints, WireConfig::default());
             sin_cfg.capacity_per_node = self.capacity();
             let sin = SinfoniaCluster::new(sin_cfg);
-            let resolution = sin.resolve_in_doubt();
+            let resolution = sin
+                .resolve_in_doubt()
+                .expect("every restarted memnode is up");
             (
                 MinuetCluster::attach(sin, self.n_trees, self.tree_cfg.clone()),
                 resolution,

@@ -116,8 +116,6 @@ fn restart_after_unclean_shutdown_keeps_acked_puts() {
     }
     let all = p.scan_serializable(0, b"", usize::MAX).unwrap();
     assert_eq!(all.len(), 150);
-    // fsync accounting is visible at the cluster level.
-    let _ = mc2.sinfonia.durability_stats();
     drop(p);
     drop(mc2);
     h.cleanup();

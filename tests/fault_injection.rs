@@ -63,7 +63,13 @@ fn read_slot(c: &SinfoniaCluster, slot: u64) -> u64 {
 #[test]
 fn enospc_on_wal_append_degrades_to_read_only() {
     let _g = faults::test_guard();
-    let (dir, c) = durable_cluster("fi-enospc", 1, SyncMode::Sync);
+    let (dir, c) = durable_cluster(
+        "fi-enospc",
+        1,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     assert!(put_slot(&c, 0, 7).unwrap());
 
     faults::arm(Site::WalAppend, Arm::new(Action::NoSpace));
@@ -112,7 +118,13 @@ fn enospc_on_wal_append_degrades_to_read_only() {
 #[test]
 fn short_write_leaves_log_valid_to_last_whole_frame() {
     let _g = faults::test_guard();
-    let (dir, c) = durable_cluster("fi-torn", 1, SyncMode::Sync);
+    let (dir, c) = durable_cluster(
+        "fi-torn",
+        1,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     for s in 0..5 {
         assert!(put_slot(&c, s, 100 + s).unwrap());
     }
@@ -148,8 +160,20 @@ fn short_write_leaves_log_valid_to_last_whole_frame() {
 #[test]
 fn torn_tail_during_replication_pull_ships_whole_frames() {
     let _g = faults::test_guard();
-    let (pdir, primary) = durable_cluster("fi-repl-src", 1, SyncMode::Sync);
-    let (fdir, follower) = durable_cluster("fi-repl-dst", 1, SyncMode::Sync);
+    let (pdir, primary) = durable_cluster(
+        "fi-repl-src",
+        1,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
+    let (fdir, follower) = durable_cluster(
+        "fi-repl-dst",
+        1,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     let _repl = Replicator::spawn(&primary, &follower, ReplConfig::default());
 
     for s in 0..8 {
@@ -192,7 +216,13 @@ fn torn_tail_during_replication_pull_ships_whole_frames() {
 #[test]
 fn enospc_mid_checkpoint_fails_clean_and_wal_recovers() {
     let _g = faults::test_guard();
-    let (dir, c) = durable_cluster("fi-ckpt", 1, SyncMode::Sync);
+    let (dir, c) = durable_cluster(
+        "fi-ckpt",
+        1,
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     for s in 0..6 {
         assert!(put_slot(&c, s, 300 + s).unwrap());
     }
@@ -263,7 +293,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
     );
     assert!(put_slot(&c, 0, 1).unwrap()); // warm the connection pool
 
-    let commits_before = node.node_stats().single_commits;
+    let commits_before = node.obs_snapshot().counter("memnode.single_commits");
     let exceeded_before = obs_counter(&c, "deadline.exceeded");
     let scope = OpDeadline::at(Instant::now() - Duration::from_millis(1)).enter();
     let start = Instant::now();
@@ -277,7 +307,7 @@ fn expired_deadline_fails_fast_before_any_rpc() {
         "expired deadline did not fail fast ({elapsed:?})"
     );
     assert_eq!(
-        node.node_stats().single_commits,
+        node.obs_snapshot().counter("memnode.single_commits"),
         commits_before,
         "an RPC reached the server despite the expired deadline"
     );

@@ -14,6 +14,7 @@ use minuet::{occupancy, MinuetCluster, NodePtr, TreeConfig};
 use std::collections::{BTreeMap, HashSet};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Duration;
 
 mod common;
 
@@ -243,7 +244,12 @@ fn free_list_slots(mc: &MinuetCluster, tree: u32, mem: MemNodeId) -> Vec<u32> {
 
 #[test]
 fn crash_between_reserve_and_swap_recovers_cleanly() {
-    let dur = DurabilityConfig::ephemeral("migrate-crash", SyncMode::Sync);
+    let dur = DurabilityConfig::ephemeral(
+        "migrate-crash",
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     let dir = dur.dir.clone().unwrap();
     let mut cfg = TreeConfig::small_nodes(8);
     cfg.max_memnodes = 2;
@@ -325,7 +331,12 @@ fn durable_cluster_recovers_elastic_growth() {
     // must discover the added memnode from its on-disk state (membership
     // growth is persisted by the node's redo log); otherwise every node
     // migrated onto it would be lost.
-    let dur = DurabilityConfig::ephemeral("elastic-growth", SyncMode::Sync);
+    let dur = DurabilityConfig::ephemeral(
+        "elastic-growth",
+        SyncMode::GroupCommit {
+            window: Duration::ZERO,
+        },
+    );
     let dir = dur.dir.clone().unwrap();
     let mut cfg = TreeConfig::small_nodes(8);
     cfg.max_memnodes = 3;

@@ -4,12 +4,11 @@
 //! position, a mangled length field — must fail *cleanly* with a protocol
 //! error: no panic, no hang, no partial decode.
 
+use minuet::obs::SpanRecord;
 use minuet::sinfonia::memnode::{SingleResult, Vote};
 use minuet::sinfonia::recovery::NodeMeta;
-use minuet::sinfonia::wire::{
-    decode_frame, NodeFlags, Request, Response, WireBatchItem, WireShard,
-};
-use minuet::sinfonia::{Bytes, LockPolicy, MemNodeId, NodeStats};
+use minuet::sinfonia::wire::{decode_frame, Request, Response, WireBatchItem, WireShard};
+use minuet::sinfonia::{Bytes, LockPolicy, MemNodeId};
 use proptest::prelude::*;
 use std::collections::{HashMap, HashSet};
 use std::time::Duration;
@@ -99,35 +98,8 @@ fn arb_meta() -> impl Strategy<Value = NodeMeta> {
         })
 }
 
-fn arb_stats() -> impl Strategy<Value = NodeStats> {
-    (
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<u32>()),
-        (any::<u32>(), any::<u32>(), any::<u32>(), any::<bool>()),
-    )
-        .prop_map(
-            |((a, b, c, d), (e, f, g, h), (i, j, k, durable))| NodeStats {
-                single_commits: a as u64,
-                prepares: b as u64,
-                commits: c as u64,
-                aborts: d as u64,
-                busy: e as u64,
-                read_fastpath: f as u64,
-                read_fastpath_misses: g as u64,
-                write_fastpath: (c ^ j) as u64,
-                write_fastpath_misses: (d ^ k) as u64,
-                in_doubt: h as u64,
-                wal_appends: i as u64,
-                wal_bytes: j as u64,
-                wal_fsyncs: k as u64,
-                checkpoints: (a ^ e) as u64,
-                wal_retained_bytes: (b ^ f) as u64,
-                durable,
-            },
-        )
-}
-
-fn arb_request() -> impl Strategy<Value = Request> {
+/// Every request except the trace envelope, which wraps one of these.
+fn arb_plain_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         any::<u16>().prop_map(|version| Request::Hello { version }),
         (any::<u32>(), arb_policy(), arb_shard()).prop_map(|(txid, policy, shard)| {
@@ -176,8 +148,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
         Just(Request::Crash),
         Just(Request::Recover),
         Just(Request::Checkpoint),
-        Just(Request::Stats),
-        Just(Request::Flags),
         Just(Request::Meta),
         proptest::collection::vec((any::<u32>(), any::<u16>()), 0..5).prop_map(|probe| {
             Request::MirrorConsistent {
@@ -204,10 +174,40 @@ fn arb_request() -> impl Strategy<Value = Request> {
         proptest::collection::vec(any::<u8>(), 0..32).prop_map(|v| Request::Faults {
             spec: v.iter().map(|b| (b'a' + b % 26) as char).collect(),
         }),
+        Just(Request::ObsSnapshot),
+        (any::<u32>(), any::<bool>()).prop_map(|(max, slow)| Request::TraceDump { max, slow }),
     ]
 }
 
-fn arb_response() -> impl Strategy<Value = Response> {
+fn arb_request() -> impl Strategy<Value = Request> {
+    prop_oneof![
+        arb_plain_request(),
+        (any::<u32>(), arb_plain_request()).prop_map(|(id, inner)| Request::Traced {
+            trace_id: id as u64,
+            inner: Box::new(inner),
+        }),
+    ]
+}
+
+fn arb_span() -> impl Strategy<Value = SpanRecord> {
+    (
+        any::<u8>(),
+        any::<u8>(),
+        any::<u8>(),
+        any::<u32>(),
+        any::<u32>(),
+    )
+        .prop_map(|(kind, tag, depth, start, dur)| SpanRecord {
+            kind,
+            tag,
+            depth,
+            start_ns: start as u64,
+            dur_ns: dur as u64,
+        })
+}
+
+/// Every response except the trace envelope, which wraps one of these.
+fn arb_plain_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         (any::<u16>(), any::<u16>(), any::<u32>()).prop_map(|(version, node, cap)| {
             Response::Hello {
@@ -226,14 +226,6 @@ fn arb_response() -> impl Strategy<Value = Response> {
         Just(Response::Unit),
         arb_bytes().prop_map(Response::Data),
         any::<bool>().prop_map(Response::Bool),
-        arb_stats().prop_map(Response::Stats),
-        (any::<bool>(), any::<bool>(), any::<bool>()).prop_map(|(crashed, joining, retiring)| {
-            Response::Flags(NodeFlags {
-                crashed,
-                joining,
-                retiring,
-            })
-        }),
         arb_meta().prop_map(Response::Meta),
         any::<u16>().prop_map(Response::Unavailable),
         proptest::collection::vec(any::<u8>(), 0..24)
@@ -264,6 +256,22 @@ fn arb_response() -> impl Strategy<Value = Response> {
                 }
             }),
         any::<u32>().prop_map(|armed| Response::Faults { armed }),
+        arb_bytes().prop_map(Response::Obs),
+        arb_bytes().prop_map(Response::Traces),
+    ]
+}
+
+fn arb_response() -> impl Strategy<Value = Response> {
+    prop_oneof![
+        arb_plain_response(),
+        (
+            proptest::collection::vec(arb_span(), 0..4),
+            arb_plain_response()
+        )
+            .prop_map(|(spans, inner)| Response::TracedReply {
+                spans,
+                inner: Box::new(inner),
+            }),
     ]
 }
 

@@ -80,7 +80,7 @@ impl FollowerDaemons {
         for i in 0..self.n {
             let id = MemNodeId(i as u16);
             let node = if reopen {
-                let (node, _, _) = MemNode::open_from_disk(id, CAPACITY, &dcfg).unwrap();
+                let (node, _) = MemNode::open_from_disk(id, CAPACITY, &dcfg).unwrap();
                 node
             } else {
                 MemNode::durable(id, CAPACITY, &dcfg).unwrap()
@@ -251,7 +251,11 @@ fn follower_converges_to_primary_restart_state() {
         );
     }
     for id in [MemNodeId(0), MemNodeId(1)] {
-        assert_eq!(follower.node(id).in_doubt(), 0, "undecided 2PC on follower");
+        assert_eq!(
+            follower.node(id).in_doubt(),
+            Ok(0),
+            "undecided 2PC on follower"
+        );
     }
 
     drop(fp);

@@ -12,11 +12,13 @@
 use minuet::core::{op_tag, ConcurrencyMode, MinuetCluster, TreeConfig};
 use minuet::obs::{tracing_active, ObsConfig, ObsPlane, SpanKind};
 use minuet::sinfonia::memnode::Vote;
+use minuet::sinfonia::wire::{read_frame, split_reply_flags, Request, Response};
 use minuet::sinfonia::{
     ClusterConfig, DurabilityConfig, Endpoint, ItemRange, LockPolicy, MemNode, MemNodeId,
     MemNodeServer, Minitransaction, NodeRpc, RemoteNode, ServerOptions, SinfoniaCluster, SyncMode,
-    Transport, WireConfig,
+    Transport, Unavailable, WireConfig,
 };
+use std::io::Write;
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -64,9 +66,9 @@ fn restart_durable(
     let mut endpoints = Vec::new();
     let mut staged = 0;
     for i in 0..n {
-        let (node, meta, _) =
+        let (node, _) =
             MemNode::open_from_disk(MemNodeId(i), capacity, dcfg).expect("reopen memnode");
-        staged += meta.staged.len();
+        staged += node.in_doubt();
         let ep = Endpoint::Unix(common::socket_path(&format!("{tag}-r{i}")));
         servers.push(
             MemNodeServer::spawn(Arc::new(node), &ep, ServerOptions::default()).expect("spawn"),
@@ -102,7 +104,12 @@ fn daemon_killed_mid_2pc_all_yes_commits_after_restart() {
     let capacity = 1u64 << 20;
     let dcfg = DurabilityConfig {
         checkpoint_log_bytes: 0,
-        ..DurabilityConfig::ephemeral("wire-2pc-yes", SyncMode::Sync)
+        ..DurabilityConfig::ephemeral(
+            "wire-2pc-yes",
+            SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            },
+        )
     };
     let dir = dcfg.dir.clone().unwrap();
     let (servers, endpoints) = spawn_durable(2, capacity, &dcfg, "2pc-yes");
@@ -115,8 +122,8 @@ fn daemon_killed_mid_2pc_all_yes_commits_after_restart() {
     prepare_at(&c, txid, &m, &[0, 1]);
     assert_eq!(
         c.node(MemNodeId(0)).in_doubt(),
-        1,
-        "stats RPC sees the staged tx"
+        Ok(1),
+        "meta RPC sees the staged tx"
     );
 
     // The daemons die mid-2PC: sever every connection, drop the processes.
@@ -129,7 +136,7 @@ fn daemon_killed_mid_2pc_all_yes_commits_after_restart() {
     let (servers2, endpoints2, staged) = restart_durable(2, capacity, &dcfg, "2pc-yes");
     assert_eq!(staged, 2, "both daemons reopened in doubt");
     let c2 = wire_sinfonia(endpoints2, capacity);
-    let res = c2.resolve_in_doubt();
+    let res = c2.resolve_in_doubt().expect("every participant is up");
     assert_eq!(res.committed, 1);
     assert_eq!(res.aborted, 0);
     assert_eq!(
@@ -140,8 +147,8 @@ fn daemon_killed_mid_2pc_all_yes_commits_after_restart() {
         c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(),
         vec![5, 6, 7, 8]
     );
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
-    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
+    assert_eq!(c2.node(MemNodeId(1)).in_doubt(), Ok(0));
 
     // Locks were released by the resolution: the range is writable again.
     let mut m2 = Minitransaction::new();
@@ -161,7 +168,12 @@ fn daemon_killed_mid_2pc_partial_prepare_aborts_after_restart() {
     let capacity = 1u64 << 20;
     let dcfg = DurabilityConfig {
         checkpoint_log_bytes: 0,
-        ..DurabilityConfig::ephemeral("wire-2pc-no", SyncMode::Sync)
+        ..DurabilityConfig::ephemeral(
+            "wire-2pc-no",
+            SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            },
+        )
     };
     let dir = dcfg.dir.clone().unwrap();
     let (servers, endpoints) = spawn_durable(2, capacity, &dcfg, "2pc-no");
@@ -182,16 +194,103 @@ fn daemon_killed_mid_2pc_partial_prepare_aborts_after_restart() {
     let (servers2, endpoints2, staged) = restart_durable(2, capacity, &dcfg, "2pc-no");
     assert_eq!(staged, 1, "only the prepared daemon is in doubt");
     let c2 = wire_sinfonia(endpoints2, capacity);
-    let res = c2.resolve_in_doubt();
+    let res = c2.resolve_in_doubt().expect("every participant is up");
     assert_eq!(res.committed, 0);
     assert_eq!(res.aborted, 1);
     assert_eq!(c2.node(MemNodeId(0)).raw_read(0, 4).unwrap(), vec![0; 4]);
     assert_eq!(c2.node(MemNodeId(1)).raw_read(0, 4).unwrap(), vec![0; 4]);
-    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), 0);
+    assert_eq!(c2.node(MemNodeId(0)).in_doubt(), Ok(0));
 
     drop(c2);
     drop(servers2);
     let _ = std::fs::remove_dir_all(dir);
+}
+
+/// A daemon that committed and then stopped holds the only record of the
+/// decision. Resolution must fail without touching the live participant,
+/// and an unreachable node must not report zero in-doubt transactions;
+/// once the daemon restarts, resolution commits on both memnodes.
+#[test]
+fn resolution_waits_for_a_stopped_daemon() {
+    let capacity = 1u64 << 20;
+    let dcfg = DurabilityConfig {
+        checkpoint_log_bytes: 0,
+        ..DurabilityConfig::ephemeral(
+            "wire-2pc-stopped",
+            SyncMode::GroupCommit {
+                window: Duration::ZERO,
+            },
+        )
+    };
+    let dir = dcfg.dir.clone().unwrap();
+    let (mut servers, endpoints) = spawn_durable(2, capacity, &dcfg, "2pc-stopped");
+    let c = wire_sinfonia(endpoints.clone(), capacity);
+
+    let mut m = Minitransaction::new();
+    m.write(ItemRange::new(MemNodeId(0), 0, 4), vec![1, 2, 3, 4]);
+    m.write(ItemRange::new(MemNodeId(1), 0, 4), vec![5, 6, 7, 8]);
+    let txid = c.next_txid();
+    prepare_at(&c, txid, &m, &[0, 1]);
+    c.node(MemNodeId(1)).commit(txid).unwrap();
+    let stopped = servers.pop().expect("daemon 1");
+    stopped.kill();
+    drop(stopped);
+
+    let down = Unavailable(MemNodeId(1));
+    assert_eq!(c.node(MemNodeId(1)).in_doubt(), Err(down));
+    assert_eq!(c.resolve_in_doubt(), Err(down));
+    assert_eq!(c.node(MemNodeId(0)).in_doubt(), Ok(1), "survivor changed");
+
+    let (node, _) = MemNode::open_from_disk(MemNodeId(1), capacity, &dcfg).expect("reopen");
+    let _restarted = MemNodeServer::spawn(Arc::new(node), &endpoints[1], ServerOptions::default())
+        .expect("respawn");
+    // The client may still be inside its reconnect backoff window.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let res = loop {
+        match c.resolve_in_doubt() {
+            Ok(res) => break res,
+            Err(u) if Instant::now() < deadline => {
+                assert_eq!(u, Unavailable(MemNodeId(1)));
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            Err(u) => panic!("restarted daemon never answered: {u}"),
+        }
+    };
+    assert_eq!((res.committed, res.aborted), (1, 0));
+    assert_eq!(
+        c.node(MemNodeId(0)).raw_read(0, 4).unwrap(),
+        vec![1, 2, 3, 4]
+    );
+    assert_eq!(
+        c.node(MemNodeId(1)).raw_read(0, 4).unwrap(),
+        vec![5, 6, 7, 8]
+    );
+    drop(c);
+    drop(servers);
+    let _ = std::fs::remove_dir_all(dir);
+}
+
+/// Mirror probes come from the wire: an out-of-range one is refused with
+/// a bounds error before it reaches the memnode, like a raw read.
+#[test]
+fn out_of_range_mirror_probe_is_refused() {
+    let capacity = 1u64 << 16;
+    let ep = common::spawn_servers(1, capacity).remove(0);
+    let mut conn = ep.dial(Duration::from_secs(1)).expect("dial");
+    let mut ask = |probe: Vec<(u64, u32)>| {
+        conn.write_all(&Request::MirrorConsistent { probe }.encode())
+            .expect("send");
+        let payload = read_frame(&mut conn).expect("reply");
+        let (body, _) = split_reply_flags(&payload).expect("flags trailer");
+        Response::decode(&body).expect("decode")
+    };
+    assert_eq!(ask(vec![(0, 64)]), Response::Bool(true));
+    for probe in [(capacity - 4, 64), (u64::MAX, 1)] {
+        match ask(vec![(0, 64), probe]) {
+            Response::Error(msg) => assert!(msg.contains("exceeds capacity"), "{msg}"),
+            other => panic!("probe {probe:?} answered {other:?}"),
+        }
+    }
 }
 
 /// A daemon that dies and comes back on the same endpoint within the
